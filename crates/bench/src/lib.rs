@@ -17,7 +17,7 @@ use dbtune_core::optimizer::OptimizerKind;
 use dbtune_core::sampling;
 use dbtune_core::space::TuningSpace;
 use dbtune_core::telemetry::{self, TraceEvent};
-use dbtune_core::tuner::{orient, run_session, SessionConfig, SessionResult, SimObjective};
+use dbtune_core::tuner::{pool_score, run_session, SessionConfig, SessionResult, SimObjective};
 use dbtune_dbsim::{DbSimulator, FaultPlan, Hardware, KnobCatalog, Workload, METRICS_DIM};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -196,20 +196,12 @@ impl GridOpts {
     /// read the same numbers.
     pub fn report(&self, cache: Option<&Arc<EvalCache>>) -> ExecReport {
         let stats = cache.map(|c| c.stats()).unwrap_or_default();
-        let transient_skips = cache.map(|c| c.transient_skips()).unwrap_or(0);
         let metrics = &telemetry::global().metrics;
         metrics.counter("exec.cache.hits").add(stats.hits);
         metrics.counter("exec.cache.misses").add(stats.misses);
         metrics.gauge("exec.cache.entries").set(stats.entries as i64);
-        // Published lazily, like `sim.faults.*`: the counter can only be
-        // nonzero under fault injection, and registering it at zero
-        // would add a key to every fault-free telemetry block (committed
-        // artifacts must stay byte-identical).
-        if transient_skips > 0 {
-            metrics.counter("exec.cache.transient_skips").add(transient_skips);
-        }
-        // Memory metrics follow the same lazy rule: registered only when
-        // the profiler is latched (`mem=on`), so unprofiled artifacts
+        // Memory metrics are registered lazily, like `sim.faults.*`: only
+        // when the profiler is latched (`mem=on`), so unprofiled artifacts
         // keep their exact telemetry key set. All of these live in the
         // `"telemetry"` block only — like wall clock, never `"results"`.
         if telemetry::global().memprof_enabled() {
@@ -235,7 +227,6 @@ impl GridOpts {
             cache_enabled: self.cache,
             noise_seed: self.noise_seed,
             cache: stats,
-            transient_skips,
             faults: self.faults,
             retry: self.retry,
         }
@@ -258,10 +249,6 @@ pub struct ExecReport {
     pub noise_seed: u64,
     /// Cache counters (all zero when the cache was off).
     pub cache: CacheStats,
-    /// Transient outcomes the cache refused to store (zero unless fault
-    /// injection was on; serialized only then — see
-    /// [`EvalCache::transient_skips`]).
-    pub transient_skips: u64,
     /// The fault schedule the grid ran under (inactive by default).
     pub faults: FaultPlan,
     /// The retry policy applied to transient faults.
@@ -278,7 +265,6 @@ impl Serialize for ExecReport {
         // Chaos settings appear only when injection is on: faults-off
         // artifacts must stay byte-identical to the pre-fault baseline.
         if self.faults.is_active() {
-            fields.push(("cache_transient_skips".to_string(), self.transient_skips.to_value()));
             fields.push((
                 "faults".to_string(),
                 serde::Value::Object(vec![
@@ -469,7 +455,7 @@ pub fn print_exec_summary(exec: &ExecReport) {
     }
     if exec.faults.is_active() {
         println!(
-            "[chaos] fault seed={} timeouts={} spurious crashes={} noisy={} stalls={} | retries={} exhausted={} panics contained={} cache skips={}",
+            "[chaos] fault seed={} timeouts={} spurious crashes={} noisy={} stalls={} | retries={} exhausted={} panics contained={}",
             exec.faults.seed,
             metrics.counter("sim.faults.timeout").get(),
             metrics.counter("sim.faults.crash").get(),
@@ -478,7 +464,6 @@ pub fn print_exec_summary(exec: &ExecReport) {
             metrics.counter("exec.retries").get(),
             metrics.counter("exec.retry_exhausted").get(),
             metrics.counter("exec.panics_contained").get(),
-            exec.transient_skips,
         );
     }
 }
@@ -576,7 +561,6 @@ pub fn full_pool(workload: Workload, n: usize, seed: u64) -> Pool {
     let all: Vec<usize> = (0..catalog.len()).collect();
     let space = TuningSpace::new(&catalog, all, default_cfg.clone());
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9001);
-    let obj = SimObjective::objective(&sim);
 
     let mut pool = Pool {
         workload: workload.name().to_string(),
@@ -588,18 +572,8 @@ pub fn full_pool(workload: Workload, n: usize, seed: u64) -> Pool {
     let mut worst = f64::INFINITY;
     for cfg in sampling::lhs(space.space(), n, &mut rng) {
         let res = SimObjective::evaluate(&mut sim, &cfg);
-        let score = if res.failed {
-            if worst.is_finite() {
-                worst
-            } else {
-                orient(obj, sim.reference_value(space.base())) - 1.0
-            }
-        } else {
-            orient(obj, res.value)
-        };
-        worst = worst.min(score);
+        pool.y.push(pool_score(&sim, space.base(), &res, &mut worst));
         pool.x.push(cfg);
-        pool.y.push(score);
         pool.metrics.push(res.metrics);
     }
 

@@ -10,7 +10,7 @@
 use dbtune_core::optimizer::{Optimizer, OptimizerKind};
 use dbtune_core::sampling;
 use dbtune_core::space::TuningSpace;
-use dbtune_core::tuner::{orient, SimObjective};
+use dbtune_core::tuner::{pool_score, SimObjective};
 use dbtune_dbsim::METRICS_DIM;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,7 +46,6 @@ pub fn collect_samples(
     seed: u64,
 ) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
-    let obj = objective.objective();
     let mut ds = Dataset::default();
     let mut worst = f64::INFINITY;
 
@@ -56,17 +55,7 @@ pub fn collect_samples(
                   objective: &mut dyn SimObjective,
                   space: &TuningSpace| {
         let res = objective.evaluate(&space.full_config(&sub));
-        let score = if res.failed {
-            if worst.is_finite() {
-                *worst
-            } else {
-                // First sample crashed: anchor at a very poor score.
-                orient(obj, objective.reference_value(space.base())) - 1.0
-            }
-        } else {
-            orient(obj, res.value)
-        };
-        *worst = worst.min(score);
+        let score = pool_score(&*objective, space.base(), &res, worst);
         ds.x.push(sub);
         ds.y.push(score);
         (score, res.metrics)

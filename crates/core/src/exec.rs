@@ -29,11 +29,11 @@
 //! Worker-count selection: explicit flag > `DBTUNE_WORKERS` env var >
 //! `available_parallelism` capped at 8 (see [`resolve_workers`]).
 //!
-//! Resilience (see `docs/robustness.md`): evaluations widen into an
-//! [`EvalOutcome`] distinguishing deterministic crashes (cacheable —
-//! pure functions of the configuration) from *transient* faults
-//! (timeouts, spurious deaths — properties of the attempt, never
-//! cached). [`RetryPolicy`] retries transients with deterministic
+//! Resilience (see `docs/robustness.md`): [`CachedObjective`] resolves
+//! *transient* faults (timeouts, spurious deaths — properties of the
+//! attempt) before it ever consults the cache, so only completed results
+//! and deterministic crashes (pure functions of the configuration) are
+//! memoized. [`RetryPolicy`] retries transients with deterministic
 //! exponential backoff charged to the simulated clock, and
 //! [`run_grid_contained`] catches a panicking cell so one dying session
 //! degrades to a reported failure instead of killing the grid.
@@ -281,72 +281,8 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Evaluation outcomes and retry
+// Retry
 // ---------------------------------------------------------------------------
-
-/// How one evaluation *attempt* ended — the executor's widened result
-/// type, separating what is a property of the configuration (cacheable)
-/// from what is a property of the attempt (transient, never cached).
-#[derive(Clone, Debug)]
-pub enum EvalOutcome {
-    /// The evaluation ran to completion.
-    Ok(EvalResult),
-    /// The DBMS crashed *because of the configuration* (memory
-    /// overcommit, §4.1). Deterministic — the same configuration crashes
-    /// every time — so it is cacheable like any other pure result.
-    Crashed(EvalResult),
-    /// The stress test hung and was killed. Transient: says nothing
-    /// about the configuration, so it must never be cached.
-    TimedOut {
-        /// Simulated seconds burned by the hung attempt.
-        simulated_secs: f64,
-    },
-    /// The attempt died for reasons unrelated to the configuration
-    /// (worker eviction, flaky replica). Transient, never cached.
-    Transient {
-        /// Simulated seconds lost to the dead attempt.
-        simulated_secs: f64,
-    },
-}
-
-impl EvalOutcome {
-    /// Wraps a completed [`EvalResult`], classifying by its crash flag.
-    pub fn from_result(res: EvalResult) -> Self {
-        if res.failed {
-            EvalOutcome::Crashed(res)
-        } else {
-            EvalOutcome::Ok(res)
-        }
-    }
-
-    /// True for outcomes that are pure functions of the configuration
-    /// (and may therefore be memoized).
-    pub fn is_cacheable(&self) -> bool {
-        matches!(self, EvalOutcome::Ok(_) | EvalOutcome::Crashed(_))
-    }
-
-    /// True for attempt-scoped failures that a [`RetryPolicy`] may retry.
-    pub fn is_transient(&self) -> bool {
-        !self.is_cacheable()
-    }
-
-    /// The completed result, when there is one.
-    pub fn into_result(self) -> Option<EvalResult> {
-        match self {
-            EvalOutcome::Ok(res) | EvalOutcome::Crashed(res) => Some(res),
-            _ => None,
-        }
-    }
-
-    /// Simulated seconds this outcome charges to the session ledger.
-    pub fn simulated_secs(&self) -> f64 {
-        match self {
-            EvalOutcome::Ok(res) | EvalOutcome::Crashed(res) => res.simulated_secs,
-            EvalOutcome::TimedOut { simulated_secs }
-            | EvalOutcome::Transient { simulated_secs } => *simulated_secs,
-        }
-    }
-}
 
 /// Deterministic retry schedule for transient evaluation faults.
 ///
@@ -543,7 +479,6 @@ pub struct EvalCache {
     metrics: telemetry::Registry,
     hits: telemetry::Counter,
     misses: telemetry::Counter,
-    transient_skips: telemetry::Counter,
 }
 
 impl Default for EvalCache {
@@ -558,13 +493,11 @@ impl EvalCache {
         let metrics = telemetry::Registry::new();
         let hits = metrics.counter("hits"); // lint: allow(S1, S3) cache-private registry; republished as exec.cache.hits by GridOpts::report, which is the documented name
         let misses = metrics.counter("misses"); // lint: allow(S1, S3) cache-private registry; republished as exec.cache.misses by GridOpts::report, which is the documented name
-        let transient_skips = metrics.counter("transient_skips"); // lint: allow(S1, S3) cache-private registry; republished as exec.cache.transient_skips by GridOpts::report, which is the documented name
         Self {
             shards: (0..SHARDS).map(|_| Mutex::new(BTreeMap::new())).collect(),
             metrics,
             hits,
             misses,
-            transient_skips,
         }
     }
 
@@ -585,73 +518,32 @@ impl EvalCache {
     /// loser's (identical) result is discarded — still counted as a hit,
     /// so `hits + misses == total evaluations` exactly.
     ///
-    /// Completed results only: both successes and *deterministic* crashes
-    /// are pure functions of the configuration and cache soundly. A
-    /// caller whose evaluation can fail transiently must go through
-    /// [`Self::lookup_or_compute_outcome`], which refuses to memoize
-    /// attempt-scoped failures.
+    /// Completed results only: successes and *deterministic* crashes are
+    /// pure functions of the configuration and cache soundly. A transient
+    /// fault never gets here — [`CachedObjective`] resolves timeouts and
+    /// spurious deaths before it calls the cache.
     pub fn lookup_or_compute(
         &self,
         key: &CacheKey,
         f: impl FnOnce() -> EvalResult,
     ) -> (EvalResult, bool) {
-        let (outcome, hit) = self.lookup_or_compute_outcome(key, || EvalOutcome::from_result(f()));
-        (outcome.into_result().expect("completed-result closure cannot yield a transient"), hit)
-    }
-
-    /// Outcome-aware memoization: like [`Self::lookup_or_compute`], but
-    /// `f` may report a transient failure, and transient outcomes are
-    /// **never stored** — a timeout says nothing about the configuration,
-    /// so serving it from cache would turn one flaky attempt into a
-    /// permanently poisoned key. Transient computes count as misses
-    /// (the evaluation ran) but leave no entry, so under faults
-    /// `misses >= entries`; the cache-private `transient_skips` counter
-    /// records each refusal.
-    pub fn lookup_or_compute_outcome(
-        &self,
-        key: &CacheKey,
-        f: impl FnOnce() -> EvalOutcome,
-    ) -> (EvalOutcome, bool) {
         let shard = &self.shards[(key.fingerprint() as usize) % self.shards.len()];
         if let Some(found) = shard.lock().get(key) {
             self.hits.inc();
-            return (EvalOutcome::from_result(found.clone()), true);
+            return (found.clone(), true);
         }
         let computed = f();
-        match computed {
-            EvalOutcome::Ok(res) | EvalOutcome::Crashed(res) => {
-                let mut guard = shard.lock();
-                match guard.entry(key.clone()) {
-                    Entry::Occupied(e) => {
-                        self.hits.inc();
-                        (EvalOutcome::from_result(e.get().clone()), true)
-                    }
-                    Entry::Vacant(v) => {
-                        self.misses.inc();
-                        v.insert(res.clone());
-                        (EvalOutcome::from_result(res), false)
-                    }
-                }
+        match shard.lock().entry(key.clone()) {
+            Entry::Occupied(e) => {
+                self.hits.inc();
+                (e.get().clone(), true)
             }
-            transient => {
+            Entry::Vacant(v) => {
                 self.misses.inc();
-                self.transient_skips.inc();
-                (transient, false)
+                v.insert(computed.clone());
+                (computed, false)
             }
         }
-    }
-
-    /// Transient outcomes the cache refused to store (see
-    /// [`Self::lookup_or_compute_outcome`]). Kept out of [`CacheStats`]
-    /// so the byte-gated `"exec"` artifact block is unchanged when fault
-    /// injection is off.
-    pub fn transient_skips(&self) -> u64 {
-        self.transient_skips.get()
-    }
-
-    /// [`Self::lookup_or_compute`] without the hit flag.
-    pub fn get_or_insert_with(&self, key: &CacheKey, f: impl FnOnce() -> EvalResult) -> EvalResult {
-        self.lookup_or_compute(key, f).0
     }
 
     /// Every `(key, result)` pair in the cache, in ascending key order.
@@ -1082,8 +974,8 @@ mod tests {
         let s = sim();
         let cfg = s.default_config().to_vec();
         let key = s.cache_key(&cfg);
-        let r1 = cache.get_or_insert_with(&key, || s.evaluate_pure(&cfg, 7));
-        let r2 = cache.get_or_insert_with(&key, || panic!("must not recompute"));
+        let (r1, _) = cache.lookup_or_compute(&key, || s.evaluate_pure(&cfg, 7));
+        let (r2, _) = cache.lookup_or_compute(&key, || panic!("must not recompute"));
         assert_eq!(r1.value.to_bits(), r2.value.to_bits());
         let stats = cache.stats();
         assert_eq!(stats, CacheStats { hits: 1, misses: 1, entries: 1 });
@@ -1136,41 +1028,6 @@ mod tests {
     }
 
     #[test]
-    fn transient_outcomes_are_never_cached() {
-        // Regression: lookup_or_compute used to store whatever the
-        // closure returned, failed or not — one timeout would poison its
-        // key forever. Transients must recompute every time.
-        let cache = EvalCache::new();
-        let s = sim();
-        let key = s.cache_key(s.default_config());
-
-        let (first, hit) = cache
-            .lookup_or_compute_outcome(&key, || EvalOutcome::TimedOut { simulated_secs: 210.0 });
-        assert!(first.is_transient());
-        assert!(!hit);
-
-        // Second call must recompute (the closure runs again) instead of
-        // serving the transient from cache.
-        let mut ran = false;
-        let (second, hit) = cache.lookup_or_compute_outcome(&key, || {
-            ran = true;
-            EvalOutcome::from_result(s.evaluate_pure(s.default_config(), 7))
-        });
-        assert!(ran, "a transient outcome must not satisfy later lookups");
-        assert!(!hit);
-        assert!(second.is_cacheable());
-
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 1, "only the completed result is stored");
-        assert_eq!(stats.misses, 2, "both computes count as misses");
-        assert_eq!(cache.transient_skips(), 1);
-
-        // And now the stored result serves hits as usual.
-        let (_, hit) = cache.lookup_or_compute_outcome(&key, || panic!("must not recompute"));
-        assert!(hit);
-    }
-
-    #[test]
     fn deterministic_crashes_cache_like_any_result() {
         // §4.1 crashes are a property of the configuration: cacheable.
         let cache = EvalCache::new();
@@ -1182,29 +1039,13 @@ mod tests {
             metrics: vec![0.0; dbtune_dbsim::METRICS_DIM],
             simulated_secs: 210.0,
         };
-        let (out, hit) =
-            cache.lookup_or_compute_outcome(&key, || EvalOutcome::Crashed(crash.clone()));
+        let (out, hit) = cache.lookup_or_compute(&key, || crash.clone());
         assert!(!hit);
-        assert!(matches!(out, EvalOutcome::Crashed(_)));
-        let (again, hit) = cache.lookup_or_compute_outcome(&key, || panic!("must not recompute"));
+        assert!(out.failed);
+        let (again, hit) = cache.lookup_or_compute(&key, || panic!("must not recompute"));
         assert!(hit, "a deterministic crash is served from cache");
-        assert!(matches!(again, EvalOutcome::Crashed(_)));
+        assert!(again.failed);
         assert_eq!(cache.stats().entries, 1);
-    }
-
-    #[test]
-    fn eval_outcome_classifies_by_crash_flag() {
-        let ok = EvalResult { value: 1.0, failed: false, metrics: vec![], simulated_secs: 1.0 };
-        let crashed =
-            EvalResult { value: f64::NAN, failed: true, metrics: vec![], simulated_secs: 1.0 };
-        assert!(matches!(EvalOutcome::from_result(ok), EvalOutcome::Ok(_)));
-        assert!(matches!(EvalOutcome::from_result(crashed), EvalOutcome::Crashed(_)));
-        let timeout = EvalOutcome::TimedOut { simulated_secs: 3.5 };
-        assert!(timeout.is_transient() && !timeout.is_cacheable());
-        assert!(timeout.clone().into_result().is_none());
-        assert!((timeout.simulated_secs() - 3.5).abs() < 1e-12);
-        let dead = EvalOutcome::Transient { simulated_secs: 2.0 };
-        assert!(dead.is_transient());
     }
 
     #[test]

@@ -4,15 +4,12 @@
 //! history at every phase boundary.
 
 use crate::optimizer::Optimizer;
+use crate::sampling;
 use crate::space::{ConfigSpace, TuningSpace};
-use crate::telemetry::{self, phase_secs};
-use crate::tuner::{
-    orient, un_orient, Observation, PhaseTrace, SessionConfig, SessionResult, SimObjective,
-};
+use crate::tuner::{SessionConfig, SessionCore, SessionResult, SimObjective};
 use dbtune_dbsim::KnobCatalog;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 /// How the number of tuning knobs evolves over the session.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,20 +65,11 @@ pub fn run_incremental_session(
     make_opt: &dyn Fn(&ConfigSpace, u64) -> Box<dyn Optimizer>,
     cfg: &SessionConfig,
 ) -> SessionResult {
+    let mut core = SessionCore::new(&*objective, base, cfg);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let obj = objective.objective();
-    let default_value = objective.reference_value(base);
 
     // Full-configuration history (projectable onto any phase subspace).
     let mut full_history: Vec<(Vec<f64>, f64)> = Vec::new();
-    let mut observations = Vec::with_capacity(cfg.iterations);
-    let mut best_trace = Vec::with_capacity(cfg.iterations);
-    let mut overheads = Vec::with_capacity(cfg.iterations);
-    let mut phases = PhaseTrace::with_capacity(cfg.iterations);
-    let mut best = f64::NEG_INFINITY;
-    let mut worst_seen = f64::INFINITY;
-    let mut simulated = 0.0;
-
     let mut current_k = 0usize;
     let mut space_opt: Option<(TuningSpace, Box<dyn Optimizer>)> = None;
 
@@ -100,74 +88,18 @@ pub fn run_incremental_session(
         }
         let (space, opt) = space_opt.as_mut().expect("phase initialized above");
 
-        let t0 = Instant::now(); // lint: allow(D2) Fig. 9 overhead timing — the measurand; tuning results unaffected
-        let (sub, suggest_phases) = telemetry::collect_phases(|| {
-            let _s = telemetry::span("suggest");
-            if it < cfg.lhs_init && full_history.is_empty() && opt.wants_lhs_init() {
+        let first = full_history.is_empty();
+        let obs = core.step(objective, space, opt.as_mut(), None, |opt, _| {
+            if it < cfg.lhs_init && first && opt.wants_lhs_init() {
                 // Initial design inside the first phase's space.
-                crate::sampling::lhs(space.space(), 1, &mut rng).pop().expect("one sample")
+                sampling::lhs(space.space(), 1, &mut rng).pop().expect("one sample")
             } else {
                 opt.suggest(&mut rng)
             }
         });
-        let suggest_secs = t0.elapsed().as_secs_f64();
-
-        let full = space.full_config(&sub);
-        let te = Instant::now(); // lint: allow(D2) Fig. 9 overhead timing — the measurand; tuning results unaffected
-        let res = {
-            let _e = telemetry::span("evaluate");
-            objective.evaluate(&full)
-        };
-        let evaluate_secs = te.elapsed().as_secs_f64();
-        simulated += res.simulated_secs;
-
-        let (score, value, failed) = if res.failed {
-            let fallback = if worst_seen.is_finite() {
-                worst_seen
-            } else {
-                orient(obj, default_value) - orient(obj, default_value).abs().max(1.0)
-            };
-            (fallback, un_orient(obj, fallback), true)
-        } else {
-            (orient(obj, res.value), res.value, false)
-        };
-        worst_seen = worst_seen.min(score);
-        best = best.max(score);
-
-        let t1 = Instant::now(); // lint: allow(D2) Fig. 9 overhead timing — the measurand; tuning results unaffected
-        let ((), observe_phases) = telemetry::collect_phases(|| {
-            let _o = telemetry::span("observe");
-            opt.observe(&sub, score, &res.metrics);
-        });
-        let observe_secs = t1.elapsed().as_secs_f64();
-
-        // Same phase attribution as `run_session`: fit/acquisition spans
-        // from both suggest() and observe(), remainder is bookkeeping.
-        let fit = phase_secs(&suggest_phases, "surrogate_fit")
-            + phase_secs(&observe_phases, "surrogate_fit");
-        let acq =
-            phase_secs(&suggest_phases, "acquisition") + phase_secs(&observe_phases, "acquisition");
-        let overhead = suggest_secs + observe_secs;
-        phases.surrogate_fit_secs.push(fit);
-        phases.acquisition_secs.push(acq);
-        phases.bookkeeping_secs.push((overhead - fit - acq).max(0.0));
-        phases.evaluate_secs.push(evaluate_secs);
-        overheads.push(overhead);
-
-        full_history.push((full, score));
-        observations.push(Observation { config: sub, value, score, failed, metrics: res.metrics });
-        best_trace.push(best);
+        full_history.push((space.full_config(&obs.config), obs.score));
     }
-
-    SessionResult {
-        observations,
-        best_score_trace: best_trace,
-        default_value,
-        objective: obj,
-        overhead_secs: overheads,
-        phases,
-        simulated_secs: simulated,
-    }
+    core.finish()
 }
 
 #[cfg(test)]

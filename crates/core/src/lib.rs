@@ -46,7 +46,7 @@ pub mod tuner;
 
 pub use exec::{
     cell_seed, resolve_workers, run_grid, run_grid_contained, CacheKey, CacheStats,
-    CachedObjective, CellOutcome, DeterministicObjective, EvalCache, EvalOutcome, RetryPolicy,
+    CachedObjective, CellOutcome, DeterministicObjective, EvalCache, RetryPolicy,
 };
 // The F1 lint's total-order float comparisons live in the workspace's
 // lowest layer; re-exported here so downstream code can say

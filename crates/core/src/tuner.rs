@@ -13,7 +13,7 @@
 use crate::optimizer::Optimizer;
 use crate::sampling;
 use crate::space::TuningSpace;
-use crate::telemetry::{self, phase_secs, TraceEvent};
+use crate::telemetry::{self, phase_secs, SpanGuard, TraceEvent};
 use dbtune_dbsim::{DbSimulator, Objective};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -379,6 +379,29 @@ pub fn improvement(obj: Objective, default_value: f64, value: f64) -> f64 {
     }
 }
 
+/// The pool form of §4.1's crash rule, for sample pools scored outside a
+/// session (knob selection, surrogate training data): the first crash
+/// scores one log-unit below the default configuration `base`, every
+/// later crash takes the worst score seen so far. `worst` carries that
+/// running minimum between calls; start it at `f64::INFINITY`.
+pub fn pool_score(
+    objective: &dyn SimObjective,
+    base: &[f64],
+    res: &EvalResult,
+    worst: &mut f64,
+) -> f64 {
+    let obj = objective.objective();
+    let score = if !res.failed {
+        orient(obj, res.value)
+    } else if worst.is_finite() {
+        *worst
+    } else {
+        orient(obj, objective.reference_value(base)) - 1.0
+    };
+    *worst = worst.min(score);
+    score
+}
+
 /// One raw evaluation as recorded in a [`SessionCheckpoint`]. Floats are
 /// stored as raw IEEE-754 bit words so the JSON round-trip is exact —
 /// a resumed session must replay *byte-identical* inputs.
@@ -527,11 +550,8 @@ pub fn run_session_resumable(
     resume: Option<&SessionCheckpoint>,
     mut sink: Option<&mut dyn FnMut(&SessionCheckpoint)>,
 ) -> SessionResult {
-    let _session_span = telemetry::span("session");
+    let mut core = SessionCore::new(&*objective, space.base(), cfg);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let obj = objective.objective();
-    let default_value = objective.reference_value(space.base());
-    let default_score = orient(obj, default_value);
 
     let replayed = match resume {
         Some(ck) => {
@@ -544,37 +564,8 @@ pub fn run_session_resumable(
     // Pre-draw the LHS initial design if the optimizer wants it.
     let n_init = if opt.wants_lhs_init() { cfg.lhs_init.min(cfg.iterations) } else { 0 };
     let init = sampling::lhs(space.space(), n_init.max(1), &mut rng);
-
-    let mut observations = Vec::with_capacity(cfg.iterations);
-    let mut best_trace = Vec::with_capacity(cfg.iterations);
-    let mut overheads = Vec::with_capacity(cfg.iterations);
-    let mut phases = PhaseTrace::with_capacity(cfg.iterations);
-    let mut recorded: Vec<RecordedEval> = Vec::with_capacity(cfg.iterations);
-    let mut crash_memory = CrashRegionMemory::new();
+    core.enable_diag(&*objective, space, &*opt, cfg, n_init);
     let quarantine = cfg.failure_policy == FailurePolicy::QuarantinePenalty;
-    let mut best = f64::NEG_INFINITY;
-    let mut worst_seen = f64::INFINITY;
-    let mut worst_observed = f64::INFINITY;
-    let mut simulated = 0.0;
-
-    // Optimizer-quality flight recorder (`dbtune-diag`): one `diag`
-    // journal event per iteration. Gated separately from tracing and
-    // strictly observational — the optimum estimate and the surrogate's
-    // capture of its own prediction consume no randomness and never feed
-    // back into tuning decisions, so results are byte-identical with
-    // diagnostics on or off (the `quality_determinism` suite).
-    let diag = telemetry::global().diag_enabled();
-    let diag_label: String = if diag {
-        cfg.diag_label.clone().unwrap_or_else(|| opt.name().to_string())
-    } else {
-        String::new()
-    };
-    // Regret baseline on the oriented log scale; computed once per
-    // session, and only when diagnostics are on.
-    let diag_optimum: Option<f64> =
-        if diag { objective.optimum_value(space).map(|v| orient(obj, v)) } else { None };
-    let mut diag_units: Vec<Vec<f64>> = Vec::new();
-    let mut diag_cum_regret = 0.0f64;
 
     for it in 0..cfg.iterations {
         if it == replayed {
@@ -590,21 +581,20 @@ pub fn run_session_resumable(
                 objective.seek_eval_cursor(ck.eval_cursor);
             }
         }
-        let t0 = Instant::now(); // lint: allow(D2) Fig. 9 overhead timing — the measurand; tuning results unaffected
-                                 // The phase collector picks up the `surrogate_fit`/`acquisition`
-                                 // spans the optimizer opens inside suggest(); whatever time they
-                                 // do not cover is bookkeeping.
-        let (sub, suggest_phases) = telemetry::collect_phases(|| {
-            let _s = telemetry::span("suggest");
+        // Replay feeds the recorded evaluation instead of re-running it;
+        // suggest/observe still run live, rebuilding optimizer and RNG
+        // state exactly.
+        let replay = resume.filter(|_| it < replayed).map(|ck| ck.evals[it].restore());
+        core.step(objective, space, opt, replay, |opt, crashes| {
             if it < n_init {
                 init[it].clone()
-            } else if quarantine && !crash_memory.is_empty() {
+            } else if quarantine && !crashes.is_empty() {
                 // Re-draw suggestions that land in a remembered crash
                 // region (boundedly — the optimizer may genuinely need
                 // to probe the edge of a cliff).
                 let mut cand = opt.suggest(&mut rng);
                 for _ in 0..QUARANTINE_RESUGGEST {
-                    if !crash_memory.is_quarantined(&space.space().to_unit(&cand)) {
+                    if !crashes.is_quarantined(&space.space().to_unit(&cand)) {
                         break;
                     }
                     telemetry::global().metrics.counter("tuner.quarantine.rejections").inc();
@@ -615,123 +605,6 @@ pub fn run_session_resumable(
                 opt.suggest(&mut rng)
             }
         });
-        let suggest_secs = t0.elapsed().as_secs_f64();
-
-        let full = space.full_config(&sub);
-        let te = Instant::now(); // lint: allow(D2) Fig. 9 overhead timing — the measurand; tuning results unaffected
-        let res = if it < replayed {
-            // Replay: feed the recorded evaluation instead of re-running
-            // it; suggest/observe still run live, rebuilding optimizer
-            // and RNG state exactly.
-            resume.expect("replay implies a checkpoint").evals[it].restore()
-        } else {
-            let _e = telemetry::span("evaluate");
-            objective.evaluate(&full)
-        };
-        let evaluate_secs = te.elapsed().as_secs_f64();
-        simulated += res.simulated_secs;
-        recorded.push(RecordedEval::record(&res));
-
-        // §4.1: failures take the worst performance seen so far (or are
-        // discarded / penalized under the other policies).
-        let (score, value, failed) = if res.failed {
-            let fallback = if quarantine {
-                // One log-unit below the worst *observed* score: a cliff
-                // the surrogate can model, independent of how many
-                // failures came before.
-                let base = if worst_observed.is_finite() { worst_observed } else { default_score };
-                base - 1.0
-            } else if worst_seen.is_finite() {
-                worst_seen
-            } else {
-                default_score - default_score.abs().max(1.0)
-            };
-            (fallback, un_orient(obj, fallback), true)
-        } else {
-            (orient(obj, res.value), res.value, false)
-        };
-        worst_seen = worst_seen.min(score);
-        if !failed {
-            worst_observed = worst_observed.min(score);
-        } else if quarantine {
-            crash_memory.remember(space.space().to_unit(&sub));
-        }
-        best = best.max(score);
-
-        if diag {
-            let unit = space.space().to_unit(&sub);
-            // Novelty: L∞ distance to the nearest previously evaluated
-            // configuration (unit space); null for the first evaluation.
-            let novelty = diag_units
-                .iter()
-                .map(|p| p.iter().zip(&unit).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max))
-                .min_by(crate::ord::cmp_f64);
-            let (regret, cum_regret) = match diag_optimum {
-                Some(optimum) => {
-                    diag_cum_regret += optimum - score;
-                    // Simple regret of the incumbent; mildly negative
-                    // values are possible because the baseline is
-                    // noise-free while observed scores carry simulated
-                    // measurement noise.
-                    (Some(optimum - best), Some(diag_cum_regret))
-                }
-                None => (None, None),
-            };
-            let outcome = if !failed {
-                "ok"
-            } else if objective.last_failure_was_transient() {
-                "fault"
-            } else {
-                "crash"
-            };
-            // LHS init iterations never call suggest(), so no surrogate
-            // scored them; everything else reports whatever the optimizer
-            // captured (None for model-free families).
-            let pred = if it < n_init { None } else { opt.last_prediction() };
-            telemetry::global().journal.emit(TraceEvent::Diag {
-                session: diag_label.clone(),
-                iter: it as u64,
-                outcome: outcome.to_string(),
-                score_bits: score.to_bits(),
-                best_bits: best.to_bits(),
-                regret_bits: regret.map(f64::to_bits),
-                cum_regret_bits: cum_regret.map(f64::to_bits),
-                novelty_bits: novelty.map(f64::to_bits),
-                pred_mean_bits: pred.map(|(m, _)| m.to_bits()),
-                pred_var_bits: pred.map(|(_, v)| v.to_bits()),
-                seq: 0,
-            });
-            diag_units.push(unit);
-        }
-
-        // Algorithm overhead (Figure 9) = statistics collection, model
-        // fitting, and model probe — i.e. everything but the evaluation.
-        // Fitting happens inside suggest() for the BO family but inside
-        // observe() for DDPG (replay training), so both are timed.
-        let t1 = Instant::now(); // lint: allow(D2) Fig. 9 overhead timing — the measurand; tuning results unaffected
-        let ((), observe_phases) = telemetry::collect_phases(|| {
-            let _o = telemetry::span("observe");
-            if !(failed && cfg.failure_policy == FailurePolicy::Discard) {
-                opt.observe(&sub, score, &res.metrics);
-            }
-        });
-        let observe_secs = t1.elapsed().as_secs_f64();
-
-        // Phase attribution: fitting happens inside suggest() for the BO
-        // family but inside observe() for DDPG (replay training), so both
-        // scopes contribute; the uncovered remainder is bookkeeping.
-        let fit = phase_secs(&suggest_phases, "surrogate_fit")
-            + phase_secs(&observe_phases, "surrogate_fit");
-        let acq =
-            phase_secs(&suggest_phases, "acquisition") + phase_secs(&observe_phases, "acquisition");
-        let overhead = suggest_secs + observe_secs;
-        phases.surrogate_fit_secs.push(fit);
-        phases.acquisition_secs.push(acq);
-        phases.bookkeeping_secs.push((overhead - fit - acq).max(0.0));
-        phases.evaluate_secs.push(evaluate_secs);
-        overheads.push(overhead);
-        observations.push(Observation { config: sub, value, score, failed, metrics: res.metrics });
-        best_trace.push(best);
 
         // Checkpoints are only emitted for live iterations: during replay
         // the objective's fault-schedule cursor is not yet realigned, so
@@ -745,22 +618,272 @@ pub fn run_session_resumable(
                     lhs_init: cfg.lhs_init,
                     failure_policy: cfg.failure_policy.as_str().to_string(),
                     completed: it + 1,
-                    evals: recorded.clone(),
+                    evals: core.recorded.clone(),
                     rng_state: rng.state(),
                     eval_cursor: objective.eval_cursor(),
                 });
             }
         }
     }
+    core.finish()
+}
 
-    SessionResult {
-        observations,
-        best_score_trace: best_trace,
-        default_value,
-        objective: obj,
-        overhead_secs: overheads,
-        phases,
-        simulated_secs: simulated,
+/// The per-iteration body every session loop shares
+/// ([`run_session_resumable`] and the incremental session of §5.3): the
+/// timed `suggest`, the evaluation, §4.1 failure scoring under the
+/// session's [`FailurePolicy`], best/worst tracking, the timed
+/// `observe`, the §7.4 phase attribution, and the result traces. The
+/// caller owns the loop and the suggestion rule.
+pub(crate) struct SessionCore {
+    /// The `session` span, open for the core's whole lifetime.
+    _span: SpanGuard<'static>,
+    out: SessionResult,
+    default_score: f64,
+    policy: FailurePolicy,
+    best: f64,
+    worst_seen: f64,
+    worst_observed: f64,
+    crash_memory: CrashRegionMemory,
+    /// Raw evaluation results, in order (the checkpoint payload).
+    recorded: Vec<RecordedEval>,
+    diag: Option<DiagRecorder>,
+}
+
+impl SessionCore {
+    /// A session with nothing evaluated yet; `base` is the configuration
+    /// whose reference value is the improvement baseline.
+    pub(crate) fn new(objective: &dyn SimObjective, base: &[f64], cfg: &SessionConfig) -> Self {
+        let span = telemetry::span("session");
+        let obj = objective.objective();
+        let default_value = objective.reference_value(base);
+        let n = cfg.iterations;
+        Self {
+            _span: span,
+            out: SessionResult {
+                observations: Vec::with_capacity(n),
+                best_score_trace: Vec::with_capacity(n),
+                default_value,
+                objective: obj,
+                overhead_secs: Vec::with_capacity(n),
+                phases: PhaseTrace::with_capacity(n),
+                simulated_secs: 0.0,
+            },
+            default_score: orient(obj, default_value),
+            policy: cfg.failure_policy,
+            best: f64::NEG_INFINITY,
+            worst_seen: f64::INFINITY,
+            worst_observed: f64::INFINITY,
+            crash_memory: CrashRegionMemory::new(),
+            recorded: Vec::with_capacity(n),
+            diag: None,
+        }
+    }
+
+    /// Turns on the optimizer-quality flight recorder when diagnostics
+    /// are enabled; the first `n_init` iterations are LHS draws.
+    fn enable_diag(
+        &mut self,
+        objective: &dyn SimObjective,
+        space: &TuningSpace,
+        opt: &dyn Optimizer,
+        cfg: &SessionConfig,
+        n_init: usize,
+    ) {
+        if telemetry::global().diag_enabled() {
+            self.diag = Some(DiagRecorder {
+                label: cfg.diag_label.clone().unwrap_or_else(|| opt.name().to_string()),
+                optimum: objective.optimum_value(space).map(|v| orient(self.out.objective, v)),
+                units: Vec::new(),
+                cum_regret: 0.0,
+                n_init,
+            });
+        }
+    }
+
+    /// One iteration: `suggest` proposes a subspace configuration (it
+    /// sees the optimizer and the crash sites remembered so far), which
+    /// is evaluated — or taken from `replay` — scored, and observed.
+    /// Returns the recorded observation.
+    pub(crate) fn step(
+        &mut self,
+        objective: &mut dyn SimObjective,
+        space: &TuningSpace,
+        opt: &mut dyn Optimizer,
+        replay: Option<EvalResult>,
+        suggest: impl FnOnce(&mut dyn Optimizer, &CrashRegionMemory) -> Vec<f64>,
+    ) -> &Observation {
+        let it = self.out.observations.len();
+        let t0 = Instant::now(); // lint: allow(D2) Fig. 9 overhead timing — the measurand; tuning results unaffected
+                                 // The phase collector picks up the `surrogate_fit`/`acquisition`
+                                 // spans the optimizer opens inside suggest(); whatever time they
+                                 // do not cover is bookkeeping.
+        let (sub, suggest_phases) = telemetry::collect_phases(|| {
+            let _s = telemetry::span("suggest");
+            suggest(&mut *opt, &self.crash_memory)
+        });
+        let suggest_secs = t0.elapsed().as_secs_f64();
+
+        let te = Instant::now(); // lint: allow(D2) Fig. 9 overhead timing — the measurand; tuning results unaffected
+        let res = replay.unwrap_or_else(|| {
+            let _e = telemetry::span("evaluate");
+            objective.evaluate(&space.full_config(&sub))
+        });
+        let evaluate_secs = te.elapsed().as_secs_f64();
+        self.out.simulated_secs += res.simulated_secs;
+        self.recorded.push(RecordedEval::record(&res));
+
+        // §4.1: failures take the worst performance seen so far (or are
+        // discarded / penalized under the other policies).
+        let obj = self.out.objective;
+        let (score, value, failed) = if res.failed {
+            let fallback = self.crash_score();
+            (fallback, un_orient(obj, fallback), true)
+        } else {
+            (orient(obj, res.value), res.value, false)
+        };
+        self.worst_seen = self.worst_seen.min(score);
+        if !failed {
+            self.worst_observed = self.worst_observed.min(score);
+        } else if self.policy == FailurePolicy::QuarantinePenalty {
+            self.crash_memory.remember(space.space().to_unit(&sub));
+        }
+        self.best = self.best.max(score);
+
+        if let Some(diag) = &mut self.diag {
+            let outcome = if !failed {
+                "ok"
+            } else if objective.last_failure_was_transient() {
+                "fault"
+            } else {
+                "crash"
+            };
+            diag.record(it, space.space().to_unit(&sub), outcome, score, self.best, &*opt);
+        }
+
+        // Algorithm overhead (Figure 9) = statistics collection, model
+        // fitting, and model probe — i.e. everything but the evaluation.
+        // Fitting happens inside suggest() for the BO family but inside
+        // observe() for DDPG (replay training), so both are timed.
+        let t1 = Instant::now(); // lint: allow(D2) Fig. 9 overhead timing — the measurand; tuning results unaffected
+        let ((), observe_phases) = telemetry::collect_phases(|| {
+            let _o = telemetry::span("observe");
+            if !(failed && self.policy == FailurePolicy::Discard) {
+                opt.observe(&sub, score, &res.metrics);
+            }
+        });
+        let observe_secs = t1.elapsed().as_secs_f64();
+
+        // Phase attribution: both scopes contribute fitting and
+        // acquisition time; the uncovered remainder is bookkeeping.
+        let fit = phase_secs(&suggest_phases, "surrogate_fit")
+            + phase_secs(&observe_phases, "surrogate_fit");
+        let acq =
+            phase_secs(&suggest_phases, "acquisition") + phase_secs(&observe_phases, "acquisition");
+        let overhead = suggest_secs + observe_secs;
+        let out = &mut self.out;
+        out.phases.surrogate_fit_secs.push(fit);
+        out.phases.acquisition_secs.push(acq);
+        out.phases.bookkeeping_secs.push((overhead - fit - acq).max(0.0));
+        out.phases.evaluate_secs.push(evaluate_secs);
+        out.overhead_secs.push(overhead);
+        out.best_score_trace.push(self.best);
+        out.observations.push(Observation {
+            config: sub,
+            value,
+            score,
+            failed,
+            metrics: res.metrics,
+        });
+        out.observations.last().expect("pushed above")
+    }
+
+    /// The score a crashed evaluation is fed under the session's policy.
+    fn crash_score(&self) -> f64 {
+        if self.policy == FailurePolicy::QuarantinePenalty {
+            // One log-unit below the worst *observed* score: a cliff the
+            // surrogate can model, independent of how many failures came
+            // before.
+            let base = if self.worst_observed.is_finite() {
+                self.worst_observed
+            } else {
+                self.default_score
+            };
+            base - 1.0
+        } else if self.worst_seen.is_finite() {
+            self.worst_seen
+        } else {
+            self.default_score - self.default_score.abs().max(1.0)
+        }
+    }
+
+    /// Everything the session produced.
+    pub(crate) fn finish(self) -> SessionResult {
+        self.out
+    }
+}
+
+/// Optimizer-quality flight recorder (`dbtune-diag`): one `diag` journal
+/// event per iteration. Gated separately from tracing and strictly
+/// observational — the optimum estimate and the surrogate's capture of
+/// its own prediction consume no randomness and never feed back into
+/// tuning decisions, so results are byte-identical with diagnostics on
+/// or off (the `quality_determinism` suite).
+struct DiagRecorder {
+    label: String,
+    /// Regret baseline on the oriented log scale.
+    optimum: Option<f64>,
+    /// Unit-cube positions evaluated so far (novelty reference set).
+    units: Vec<Vec<f64>>,
+    cum_regret: f64,
+    /// Leading LHS iterations, which no surrogate scored.
+    n_init: usize,
+}
+
+impl DiagRecorder {
+    fn record(
+        &mut self,
+        it: usize,
+        unit: Vec<f64>,
+        outcome: &str,
+        score: f64,
+        best: f64,
+        opt: &dyn Optimizer,
+    ) {
+        // Novelty: L∞ distance to the nearest previously evaluated
+        // configuration (unit space); null for the first evaluation.
+        let novelty = self
+            .units
+            .iter()
+            .map(|p| p.iter().zip(&unit).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max))
+            .min_by(crate::ord::cmp_f64);
+        let (regret, cum_regret) = match self.optimum {
+            Some(optimum) => {
+                self.cum_regret += optimum - score;
+                // Simple regret of the incumbent; mildly negative values
+                // are possible because the baseline is noise-free while
+                // observed scores carry simulated measurement noise.
+                (Some(optimum - best), Some(self.cum_regret))
+            }
+            None => (None, None),
+        };
+        // LHS init iterations never call suggest(), so no surrogate
+        // scored them; everything else reports whatever the optimizer
+        // captured (None for model-free families).
+        let pred = if it < self.n_init { None } else { opt.last_prediction() };
+        telemetry::global().journal.emit(TraceEvent::Diag {
+            session: self.label.clone(),
+            iter: it as u64,
+            outcome: outcome.to_string(),
+            score_bits: score.to_bits(),
+            best_bits: best.to_bits(),
+            regret_bits: regret.map(f64::to_bits),
+            cum_regret_bits: cum_regret.map(f64::to_bits),
+            novelty_bits: novelty.map(f64::to_bits),
+            pred_mean_bits: pred.map(|(m, _)| m.to_bits()),
+            pred_var_bits: pred.map(|(_, v)| v.to_bits()),
+            seq: 0,
+        });
+        self.units.push(unit);
     }
 }
 

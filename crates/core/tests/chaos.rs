@@ -217,9 +217,10 @@ fn exhausted_retries_charge_exact_simulated_backoff() {
     // 30 s + 60 s of exponential backoff — all on the simulated ledger.
     let plan = FaultPlan::parse("seed:5,timeout:1.0").expect("valid plan");
     let retry = RetryPolicy::default();
-    let sim = DbSimulator::new(Workload::Sysbench, Hardware::B, 1);
-    let base = sim.catalog().default_config(Hardware::B);
-    let mut obj = CachedObjective::with_faults(sim, None, NOISE_SEED, plan, retry);
+    let mk = || DbSimulator::new(Workload::Sysbench, Hardware::B, 1);
+    let base = mk().catalog().default_config(Hardware::B);
+    let cache = EvalCache::shared();
+    let mut obj = CachedObjective::with_faults(mk(), Some(cache.clone()), NOISE_SEED, plan, retry);
 
     use dbtune_core::tuner::SimObjective;
     let res = obj.evaluate(&base);
@@ -232,6 +233,15 @@ fn exhausted_retries_charge_exact_simulated_backoff() {
         res.simulated_secs
     );
     assert_eq!(obj.eval_cursor(), 3, "each attempt must consume one schedule slot");
+
+    // The lost attempts never reached the shared cache, so a fault-free
+    // session evaluating the same configuration computes it afresh.
+    assert_eq!(cache.stats().entries, 0, "a transient attempt must leave no cache entry");
+    let mut clean = CachedObjective::new(mk(), Some(cache.clone()), NOISE_SEED);
+    let follow_up = clean.evaluate(&base);
+    assert!(!follow_up.failed, "the default configuration evaluates cleanly");
+    assert_eq!(clean.n_hits(), 0, "nothing poisoned could be served");
+    assert_eq!(cache.stats().entries, 1);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! ```
 
 use dbtune::core::sampling;
-use dbtune::core::tuner::orient;
+use dbtune::core::tuner::pool_score;
 use dbtune::prelude::*;
 
 fn main() {
@@ -25,13 +25,10 @@ fn main() {
     let mut x = Vec::with_capacity(n_pool);
     let mut y = Vec::with_capacity(n_pool);
     let mut worst = f64::INFINITY;
-    let obj = SimObjective::objective(&sim);
     for cfg in sampling::lhs(full_space.space(), n_pool, &mut rng) {
         let res = SimObjective::evaluate(&mut sim, &cfg);
-        let score = if res.failed { worst.min(0.0) } else { orient(obj, res.value) };
-        worst = worst.min(score);
+        y.push(pool_score(&sim, full_space.base(), &res, &mut worst));
         x.push(cfg);
-        y.push(score);
     }
 
     // --- Step 2: rank knobs by SHAP tunability ------------------------

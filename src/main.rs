@@ -21,7 +21,7 @@ use std::process::ExitCode;
 use dbtune::core::repository::Repository;
 use dbtune::core::sampling;
 use dbtune::core::service::{TuningRequest, TuningService};
-use dbtune::core::tuner::orient;
+use dbtune::core::tuner::pool_score;
 use dbtune::prelude::*;
 use rand::SeedableRng;
 
@@ -292,7 +292,6 @@ fn cmd_rank(args: &Args) -> Result<(), String> {
     let default_cfg = catalog.default_config(hardware);
     let all: Vec<usize> = (0..catalog.len()).collect();
     let space = TuningSpace::new(&catalog, all, default_cfg.clone());
-    let obj = sim.objective();
 
     eprintln!(
         "collecting {samples}-sample LHS pool on {} ({} knobs)…",
@@ -300,25 +299,13 @@ fn cmd_rank(args: &Args) -> Result<(), String> {
         catalog.len()
     );
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let objective: &mut dyn SimObjective = &mut sim;
-    let default_score = orient(obj, objective.reference_value(space.base()));
     let mut x = Vec::with_capacity(samples);
     let mut y = Vec::with_capacity(samples);
     let mut worst = f64::INFINITY;
     for cfg in sampling::lhs(space.space(), samples, &mut rng) {
-        let res = objective.evaluate(&cfg);
-        let score = if res.failed || !res.value.is_finite() {
-            if worst.is_finite() {
-                worst
-            } else {
-                default_score - 1.0
-            }
-        } else {
-            orient(obj, res.value)
-        };
-        worst = worst.min(score);
+        let res = SimObjective::evaluate(&mut sim, &cfg);
+        y.push(pool_score(&sim, space.base(), &res, &mut worst));
         x.push(cfg);
-        y.push(score);
     }
 
     let scores = measure.build().scores(&ImportanceInput {
