@@ -4,7 +4,6 @@
 //! history at every phase boundary.
 
 use crate::optimizer::Optimizer;
-use crate::sampling;
 use crate::space::{ConfigSpace, TuningSpace};
 use crate::tuner::{SessionConfig, SessionCore, SessionResult, SimObjective};
 use dbtune_dbsim::KnobCatalog;
@@ -55,7 +54,9 @@ impl IncrementalStrategy {
 /// Runs a tuning session whose knob set follows `strategy` over a knob
 /// ranking (`ranked`, most important first). `make_opt` builds a fresh
 /// optimizer for each phase; the evaluated history is replayed into it,
-/// projected onto the new subspace.
+/// projected onto the new subspace. The session's LHS initial design
+/// (§4.1) is drawn in the first phase's space; samples that outlast the
+/// first phase are projected onto the current one.
 pub fn run_incremental_session(
     objective: &mut dyn SimObjective,
     catalog: &KnobCatalog,
@@ -65,38 +66,28 @@ pub fn run_incremental_session(
     make_opt: &dyn Fn(&ConfigSpace, u64) -> Box<dyn Optimizer>,
     cfg: &SessionConfig,
 ) -> SessionResult {
-    let mut core = SessionCore::new(&*objective, base, cfg);
+    let knobs_at = |it: usize| strategy.knobs_at(it).clamp(1, ranked.len());
+    let phase_space = |k: usize| TuningSpace::new(catalog, ranked[..k].to_vec(), base.to_vec());
+    let mut k = knobs_at(0);
+    let mut space = phase_space(k);
+    let mut opt = make_opt(space.space(), cfg.seed);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
+    // The LHS initial design is drawn inside the first phase's space.
+    let mut core = SessionCore::new(&*objective, &space, opt.as_ref(), cfg, &mut rng);
 
     // Full-configuration history (projectable onto any phase subspace).
-    let mut full_history: Vec<(Vec<f64>, f64)> = Vec::new();
-    let mut current_k = 0usize;
-    let mut space_opt: Option<(TuningSpace, Box<dyn Optimizer>)> = None;
-
+    let mut full_history: Vec<(Vec<f64>, f64)> = Vec::with_capacity(cfg.iterations);
     for it in 0..cfg.iterations {
-        let k = strategy.knobs_at(it).clamp(1, ranked.len());
-        if k != current_k || space_opt.is_none() {
-            current_k = k;
-            let selected = ranked[..k].to_vec();
-            let space = TuningSpace::new(catalog, selected, base.to_vec());
-            let mut opt = make_opt(space.space(), cfg.seed ^ it as u64);
+        if knobs_at(it) != k {
+            k = knobs_at(it);
+            space = phase_space(k);
+            opt = make_opt(space.space(), cfg.seed ^ it as u64);
             // Replay history projected onto the new subspace.
             for (full, score) in &full_history {
                 opt.observe(&space.project(full), *score, &[]);
             }
-            space_opt = Some((space, opt));
         }
-        let (space, opt) = space_opt.as_mut().expect("phase initialized above");
-
-        let first = full_history.is_empty();
-        let obs = core.step(objective, space, opt.as_mut(), None, |opt, _| {
-            if it < cfg.lhs_init && first && opt.wants_lhs_init() {
-                // Initial design inside the first phase's space.
-                sampling::lhs(space.space(), 1, &mut rng).pop().expect("one sample")
-            } else {
-                opt.suggest(&mut rng)
-            }
-        });
+        let obs = core.step(objective, &space, opt.as_mut(), &mut rng, None);
         full_history.push((space.full_config(&obs.config), obs.score));
     }
     core.finish()

@@ -540,8 +540,6 @@ pub fn run_session(
 /// `sink` is invoked with a fresh checkpoint after every completed
 /// iteration; callers decide persistence cadence (a session killed
 /// between two invocations loses at most one iteration).
-// The iteration index doubles as the LHS-design cursor.
-#[allow(clippy::needless_range_loop)]
 pub fn run_session_resumable(
     objective: &mut dyn SimObjective,
     space: &TuningSpace,
@@ -550,9 +548,6 @@ pub fn run_session_resumable(
     resume: Option<&SessionCheckpoint>,
     mut sink: Option<&mut dyn FnMut(&SessionCheckpoint)>,
 ) -> SessionResult {
-    let mut core = SessionCore::new(&*objective, space.base(), cfg);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-
     let replayed = match resume {
         Some(ck) => {
             ck.validate_against(cfg);
@@ -560,12 +555,9 @@ pub fn run_session_resumable(
         }
         None => 0,
     };
-
-    // Pre-draw the LHS initial design if the optimizer wants it.
-    let n_init = if opt.wants_lhs_init() { cfg.lhs_init.min(cfg.iterations) } else { 0 };
-    let init = sampling::lhs(space.space(), n_init.max(1), &mut rng);
-    core.enable_diag(&*objective, space, &*opt, cfg, n_init);
-    let quarantine = cfg.failure_policy == FailurePolicy::QuarantinePenalty;
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut core = SessionCore::new(&*objective, space, &*opt, cfg, &mut rng);
+    core.enable_diag(&*objective, space, &*opt, cfg);
 
     for it in 0..cfg.iterations {
         if it == replayed {
@@ -585,26 +577,7 @@ pub fn run_session_resumable(
         // suggest/observe still run live, rebuilding optimizer and RNG
         // state exactly.
         let replay = resume.filter(|_| it < replayed).map(|ck| ck.evals[it].restore());
-        core.step(objective, space, opt, replay, |opt, crashes| {
-            if it < n_init {
-                init[it].clone()
-            } else if quarantine && !crashes.is_empty() {
-                // Re-draw suggestions that land in a remembered crash
-                // region (boundedly — the optimizer may genuinely need
-                // to probe the edge of a cliff).
-                let mut cand = opt.suggest(&mut rng);
-                for _ in 0..QUARANTINE_RESUGGEST {
-                    if !crashes.is_quarantined(&space.space().to_unit(&cand)) {
-                        break;
-                    }
-                    telemetry::global().metrics.counter("tuner.quarantine.rejections").inc();
-                    cand = opt.suggest(&mut rng);
-                }
-                cand
-            } else {
-                opt.suggest(&mut rng)
-            }
-        });
+        core.step(objective, space, opt, &mut rng, replay);
 
         // Checkpoints are only emitted for live iterations: during replay
         // the objective's fault-schedule cursor is not yet realigned, so
@@ -633,7 +606,7 @@ pub fn run_session_resumable(
 /// timed `suggest`, the evaluation, §4.1 failure scoring under the
 /// session's [`FailurePolicy`], best/worst tracking, the timed
 /// `observe`, the §7.4 phase attribution, and the result traces. The
-/// caller owns the loop and the suggestion rule.
+/// caller owns the loop (and, for incremental sessions, the knob set).
 pub(crate) struct SessionCore {
     /// The `session` span, open for the core's whole lifetime.
     _span: SpanGuard<'static>,
@@ -644,19 +617,37 @@ pub(crate) struct SessionCore {
     worst_seen: f64,
     worst_observed: f64,
     crash_memory: CrashRegionMemory,
+    /// The §4.1 LHS initial design, as full configurations so a session
+    /// whose knob set changes can project it onto the current space.
+    init: Vec<Vec<f64>>,
     /// Raw evaluation results, in order (the checkpoint payload).
     recorded: Vec<RecordedEval>,
     diag: Option<DiagRecorder>,
 }
 
 impl SessionCore {
-    /// A session with nothing evaluated yet; `base` is the configuration
-    /// whose reference value is the improvement baseline.
-    pub(crate) fn new(objective: &dyn SimObjective, base: &[f64], cfg: &SessionConfig) -> Self {
+    /// A session with nothing evaluated yet over `space` (the first
+    /// phase's space when the knob set changes later). The first draw
+    /// from the fresh session `rng` is the LHS initial design, which
+    /// optimizers that want one get for the first `cfg.lhs_init`
+    /// iterations.
+    pub(crate) fn new(
+        objective: &dyn SimObjective,
+        space: &TuningSpace,
+        opt: &dyn Optimizer,
+        cfg: &SessionConfig,
+        rng: &mut StdRng,
+    ) -> Self {
         let span = telemetry::span("session");
         let obj = objective.objective();
-        let default_value = objective.reference_value(base);
+        let default_value = objective.reference_value(space.base());
         let n = cfg.iterations;
+        let n_init = if opt.wants_lhs_init() { cfg.lhs_init.min(n) } else { 0 };
+        // `sampling::lhs` needs at least one sample, so a session without
+        // an initial design draws one and discards it; its RNG stream, and
+        // so every later suggestion, depends on that draw.
+        let mut init = sampling::lhs(space.space(), n_init.max(1), rng);
+        init.truncate(n_init);
         Self {
             _span: span,
             out: SessionResult {
@@ -674,20 +665,20 @@ impl SessionCore {
             worst_seen: f64::INFINITY,
             worst_observed: f64::INFINITY,
             crash_memory: CrashRegionMemory::new(),
+            init: init.iter().map(|sub| space.full_config(sub)).collect(),
             recorded: Vec::with_capacity(n),
             diag: None,
         }
     }
 
     /// Turns on the optimizer-quality flight recorder when diagnostics
-    /// are enabled; the first `n_init` iterations are LHS draws.
+    /// are enabled.
     fn enable_diag(
         &mut self,
         objective: &dyn SimObjective,
         space: &TuningSpace,
         opt: &dyn Optimizer,
         cfg: &SessionConfig,
-        n_init: usize,
     ) {
         if telemetry::global().diag_enabled() {
             self.diag = Some(DiagRecorder {
@@ -695,31 +686,29 @@ impl SessionCore {
                 optimum: objective.optimum_value(space).map(|v| orient(self.out.objective, v)),
                 units: Vec::new(),
                 cum_regret: 0.0,
-                n_init,
             });
         }
     }
 
-    /// One iteration: `suggest` proposes a subspace configuration (it
-    /// sees the optimizer and the crash sites remembered so far), which
-    /// is evaluated — or taken from `replay` — scored, and observed.
-    /// Returns the recorded observation.
+    /// One iteration over `space`: a configuration is suggested (see
+    /// [`Self::suggest`]), evaluated — or taken from `replay` — scored,
+    /// and observed. Returns the recorded observation.
     pub(crate) fn step(
         &mut self,
         objective: &mut dyn SimObjective,
         space: &TuningSpace,
         opt: &mut dyn Optimizer,
+        rng: &mut StdRng,
         replay: Option<EvalResult>,
-        suggest: impl FnOnce(&mut dyn Optimizer, &CrashRegionMemory) -> Vec<f64>,
     ) -> &Observation {
         let it = self.out.observations.len();
+        // The phase collector picks up the `surrogate_fit`/`acquisition`
+        // spans the optimizer opens inside suggest(); whatever time they
+        // do not cover is bookkeeping.
         let t0 = Instant::now(); // lint: allow(D2) Fig. 9 overhead timing — the measurand; tuning results unaffected
-                                 // The phase collector picks up the `surrogate_fit`/`acquisition`
-                                 // spans the optimizer opens inside suggest(); whatever time they
-                                 // do not cover is bookkeeping.
         let (sub, suggest_phases) = telemetry::collect_phases(|| {
             let _s = telemetry::span("suggest");
-            suggest(&mut *opt, &self.crash_memory)
+            self.suggest(space, &mut *opt, rng)
         });
         let suggest_secs = t0.elapsed().as_secs_f64();
 
@@ -757,7 +746,11 @@ impl SessionCore {
             } else {
                 "crash"
             };
-            diag.record(it, space.space().to_unit(&sub), outcome, score, self.best, &*opt);
+            // LHS init iterations never call suggest(), so no surrogate
+            // scored them; everything else reports whatever the optimizer
+            // captured (None for model-free families).
+            let pred = if it < self.init.len() { None } else { opt.last_prediction() };
+            diag.record(it, space.space().to_unit(&sub), outcome, score, self.best, pred);
         }
 
         // Algorithm overhead (Figure 9) = statistics collection, model
@@ -795,6 +788,28 @@ impl SessionCore {
             metrics: res.metrics,
         });
         out.observations.last().expect("pushed above")
+    }
+
+    /// The session's suggestion rule: the LHS initial design first, then
+    /// the optimizer. Under [`FailurePolicy::QuarantinePenalty`],
+    /// suggestions that land in a remembered crash region are re-drawn
+    /// (boundedly — the optimizer may genuinely need to probe the edge
+    /// of a cliff).
+    fn suggest(&self, space: &TuningSpace, opt: &mut dyn Optimizer, rng: &mut StdRng) -> Vec<f64> {
+        if let Some(full) = self.init.get(self.out.observations.len()) {
+            return space.project(full);
+        }
+        let mut cand = opt.suggest(rng);
+        if self.policy == FailurePolicy::QuarantinePenalty {
+            for _ in 0..QUARANTINE_RESUGGEST {
+                if !self.crash_memory.is_quarantined(&space.space().to_unit(&cand)) {
+                    break;
+                }
+                telemetry::global().metrics.counter("tuner.quarantine.rejections").inc();
+                cand = opt.suggest(rng);
+            }
+        }
+        cand
     }
 
     /// The score a crashed evaluation is fed under the session's policy.
@@ -835,8 +850,6 @@ struct DiagRecorder {
     /// Unit-cube positions evaluated so far (novelty reference set).
     units: Vec<Vec<f64>>,
     cum_regret: f64,
-    /// Leading LHS iterations, which no surrogate scored.
-    n_init: usize,
 }
 
 impl DiagRecorder {
@@ -847,7 +860,7 @@ impl DiagRecorder {
         outcome: &str,
         score: f64,
         best: f64,
-        opt: &dyn Optimizer,
+        pred: Option<(f64, f64)>,
     ) {
         // Novelty: L∞ distance to the nearest previously evaluated
         // configuration (unit space); null for the first evaluation.
@@ -866,10 +879,6 @@ impl DiagRecorder {
             }
             None => (None, None),
         };
-        // LHS init iterations never call suggest(), so no surrogate
-        // scored them; everything else reports whatever the optimizer
-        // captured (None for model-free families).
-        let pred = if it < self.n_init { None } else { opt.last_prediction() };
         telemetry::global().journal.emit(TraceEvent::Diag {
             session: self.label.clone(),
             iter: it as u64,

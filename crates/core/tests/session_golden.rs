@@ -49,7 +49,8 @@ fn session_fingerprint(r: &SessionResult) -> u64 {
 
 /// A Figure 6 cell in miniature: vanilla BO over a SYSBENCH ranking that
 /// includes the crash-prone buffer pool, through the cached objective.
-fn incremental(strategy: IncrementalStrategy, seed: u64) -> SessionResult {
+/// Also returns the default value of each ranked knob.
+fn incremental(strategy: IncrementalStrategy, seed: u64) -> (SessionResult, Vec<f64>) {
     let sim = DbSimulator::new(Workload::Sysbench, Hardware::A, 21);
     let catalog = sim.catalog().clone();
     let base = catalog.default_config(Hardware::A);
@@ -67,8 +68,9 @@ fn incremental(strategy: IncrementalStrategy, seed: u64) -> SessionResult {
     let make_opt = |space: &ConfigSpace, _seed: u64| -> Box<dyn Optimizer> {
         Box::new(BoOptimizer::new(space.clone(), BoKind::Vanilla))
     };
+    let defaults = ranked.iter().map(|&i| base[i]).collect();
     let mut obj = CachedObjective::new(sim, Some(EvalCache::shared()), NOISE_SEED);
-    run_incremental_session(
+    let result = run_incremental_session(
         &mut obj,
         &catalog,
         &base,
@@ -76,26 +78,38 @@ fn incremental(strategy: IncrementalStrategy, seed: u64) -> SessionResult {
         strategy,
         &make_opt,
         &SessionConfig { iterations: 24, lhs_init: 10, seed, ..Default::default() },
-    )
+    );
+    (result, defaults)
 }
 
 #[test]
 fn incremental_increase_session_is_pinned() {
-    let r = incremental(IncrementalStrategy::Increase { start: 2, step: 2, every: 8, cap: 6 }, 7);
+    let (r, defaults) =
+        incremental(IncrementalStrategy::Increase { start: 2, step: 2, every: 8, cap: 6 }, 7);
     assert_eq!(r.observations.len(), 24);
     let dims: Vec<usize> = r.observations.iter().map(|o| o.config.len()).collect();
     assert_eq!(&dims[..9], &[2, 2, 2, 2, 2, 2, 2, 2, 4]);
+    // §4.1's 10 LHS samples are drawn in the first phase's 2-knob space,
+    // so the last two reach the second phase with its new knobs at their
+    // defaults.
+    for o in &r.observations[8..10] {
+        assert_eq!(o.config[2..], defaults[2..4], "LHS sample projected onto phase 2");
+    }
     assert!(r.observations.iter().any(|o| o.failed), "the crash rule must be exercised");
-    assert_eq!(session_fingerprint(&r), 11302569310715372630, "incremental Increase fingerprint");
+    // Changed when incremental sessions started using the session's
+    // full LHS design (previously only iteration 0 was an LHS draw).
+    assert_eq!(session_fingerprint(&r), 6817748673431656518, "incremental Increase fingerprint");
 }
 
 #[test]
 fn incremental_decrease_session_is_pinned() {
-    let r = incremental(IncrementalStrategy::Decrease { start: 6, step: 2, every: 8, floor: 2 }, 9);
+    let (r, _) =
+        incremental(IncrementalStrategy::Decrease { start: 6, step: 2, every: 8, floor: 2 }, 9);
     assert_eq!(r.observations.len(), 24);
     assert_eq!(r.observations.last().map(|o| o.config.len()), Some(2));
     assert!(r.observations.iter().any(|o| o.failed), "the crash rule must be exercised");
-    assert_eq!(session_fingerprint(&r), 13705822310595462063, "incremental Decrease fingerprint");
+    // Changed with the Increase constant above, for the same reason.
+    assert_eq!(session_fingerprint(&r), 14361233546593138868, "incremental Decrease fingerprint");
 }
 
 #[test]
