@@ -672,7 +672,8 @@ impl SessionCore {
     }
 
     /// Turns on the optimizer-quality flight recorder when diagnostics
-    /// are enabled.
+    /// are enabled. Fixed-space sessions only: regret and novelty are
+    /// measured within one tuning space.
     fn enable_diag(
         &mut self,
         objective: &dyn SimObjective,
@@ -739,6 +740,25 @@ impl SessionCore {
         self.best = self.best.max(score);
 
         if let Some(diag) = &mut self.diag {
+            let unit = space.space().to_unit(&sub);
+            // Novelty: L∞ distance to the nearest previously evaluated
+            // configuration (unit space); null for the first evaluation.
+            let novelty = diag
+                .units
+                .iter()
+                .map(|p| p.iter().zip(&unit).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max))
+                .min_by(crate::ord::cmp_f64);
+            let (regret, cum_regret) = match diag.optimum {
+                Some(optimum) => {
+                    diag.cum_regret += optimum - score;
+                    // Simple regret of the incumbent; mildly negative
+                    // values are possible because the baseline is
+                    // noise-free while observed scores carry simulated
+                    // measurement noise.
+                    (Some(optimum - self.best), Some(diag.cum_regret))
+                }
+                None => (None, None),
+            };
             let outcome = if !failed {
                 "ok"
             } else if objective.last_failure_was_transient() {
@@ -750,7 +770,20 @@ impl SessionCore {
             // scored them; everything else reports whatever the optimizer
             // captured (None for model-free families).
             let pred = if it < self.init.len() { None } else { opt.last_prediction() };
-            diag.record(it, space.space().to_unit(&sub), outcome, score, self.best, pred);
+            telemetry::global().journal.emit(TraceEvent::Diag {
+                session: diag.label.clone(),
+                iter: it as u64,
+                outcome: outcome.to_string(),
+                score_bits: score.to_bits(),
+                best_bits: self.best.to_bits(),
+                regret_bits: regret.map(f64::to_bits),
+                cum_regret_bits: cum_regret.map(f64::to_bits),
+                novelty_bits: novelty.map(f64::to_bits),
+                pred_mean_bits: pred.map(|(m, _)| m.to_bits()),
+                pred_var_bits: pred.map(|(_, v)| v.to_bits()),
+                seq: 0,
+            });
+            diag.units.push(unit);
         }
 
         // Algorithm overhead (Figure 9) = statistics collection, model
@@ -850,50 +883,6 @@ struct DiagRecorder {
     /// Unit-cube positions evaluated so far (novelty reference set).
     units: Vec<Vec<f64>>,
     cum_regret: f64,
-}
-
-impl DiagRecorder {
-    fn record(
-        &mut self,
-        it: usize,
-        unit: Vec<f64>,
-        outcome: &str,
-        score: f64,
-        best: f64,
-        pred: Option<(f64, f64)>,
-    ) {
-        // Novelty: L∞ distance to the nearest previously evaluated
-        // configuration (unit space); null for the first evaluation.
-        let novelty = self
-            .units
-            .iter()
-            .map(|p| p.iter().zip(&unit).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max))
-            .min_by(crate::ord::cmp_f64);
-        let (regret, cum_regret) = match self.optimum {
-            Some(optimum) => {
-                self.cum_regret += optimum - score;
-                // Simple regret of the incumbent; mildly negative values
-                // are possible because the baseline is noise-free while
-                // observed scores carry simulated measurement noise.
-                (Some(optimum - best), Some(self.cum_regret))
-            }
-            None => (None, None),
-        };
-        telemetry::global().journal.emit(TraceEvent::Diag {
-            session: self.label.clone(),
-            iter: it as u64,
-            outcome: outcome.to_string(),
-            score_bits: score.to_bits(),
-            best_bits: best.to_bits(),
-            regret_bits: regret.map(f64::to_bits),
-            cum_regret_bits: cum_regret.map(f64::to_bits),
-            novelty_bits: novelty.map(f64::to_bits),
-            pred_mean_bits: pred.map(|(m, _)| m.to_bits()),
-            pred_var_bits: pred.map(|(_, v)| v.to_bits()),
-            seq: 0,
-        });
-        self.units.push(unit);
-    }
 }
 
 #[cfg(test)]
