@@ -104,15 +104,11 @@ impl Cholesky {
     pub fn rank1_append(&mut self, row: &[f64]) -> Result<(), NotPositiveDefinite> {
         let n = self.l.rows();
         assert_eq!(row.len(), n + 1, "rank1_append row must have length n + 1");
+        // The new row's off-diagonal part solves `L · new = k`: the same
+        // `sum = k[j]; sum -= L[j][k]·new[k]` (k ascending); `/ L[j][j]`
+        // recurrence `decompose` runs for the last row.
         let mut new_row = vec![0.0; n + 1];
-        for j in 0..n {
-            let mut sum = row[j];
-            let lrow = self.l.row(j);
-            for (k, nv) in new_row.iter().enumerate().take(j) {
-                sum -= nv * lrow[k];
-            }
-            new_row[j] = sum / lrow[j];
-        }
+        self.solve_lower_into(&row[..n], &mut new_row[..n]);
         let mut sum = row[n];
         for nv in new_row.iter().take(n) {
             sum -= nv * nv;
@@ -134,19 +130,52 @@ impl Cholesky {
     }
 
     /// [`Cholesky::solve_lower`] into a caller-provided buffer — the
-    /// allocation-free variant batched GP prediction calls once per
-    /// candidate. Identical arithmetic, identical results.
+    /// allocation-free variant single-query GP prediction and
+    /// [`Cholesky::rank1_append`] call.
+    ///
+    /// Row-blocked for instruction-level parallelism: rows are taken
+    /// eight at a time, and each block first folds the
+    /// shared prefix `k < i0` (every `x[k]` there is final) as that many
+    /// independent chains, then finishes its own triangle in order. Each
+    /// row still performs exactly `sum = b[i]`, `sum -= L[i][k] · x[k]`
+    /// for `k` ascending, then `sum / L[i][i]` — the textbook scalar
+    /// recurrence, one loop-carried chain per row — so the result is
+    /// bit-identical to it; only the interleaving of rows changes.
     pub fn solve_lower_into(&self, b: &[f64], x: &mut [f64]) {
+        // Eight chains hide the subtract latency while the accumulators
+        // stay in registers.
+        const R: usize = 8;
         let n = self.l.rows();
         assert_eq!(b.len(), n);
         assert_eq!(x.len(), n);
-        for i in 0..n {
-            let mut sum = b[i];
-            let row = self.l.row(i);
-            for (k, xv) in x.iter().enumerate().take(i) {
-                sum -= row[k] * xv;
+        let mut i0 = 0;
+        while i0 < n {
+            let m = R.min(n - i0);
+            let mut sum = [0.0f64; R];
+            sum[..m].copy_from_slice(&b[i0..i0 + m]);
+            let (done, rest) = x.split_at_mut(i0);
+            if m == R {
+                let rows: [&[f64]; R] = std::array::from_fn(|r| &self.l.row(i0 + r)[..i0]);
+                for (k, &xk) in done.iter().enumerate() {
+                    for r in 0..R {
+                        sum[r] -= rows[r][k] * xk;
+                    }
+                }
+            } else {
+                for (r, s) in sum[..m].iter_mut().enumerate() {
+                    for (lk, xk) in self.l.row(i0 + r)[..i0].iter().zip(done.iter()) {
+                        *s -= lk * xk;
+                    }
+                }
             }
-            x[i] = sum / row[i];
+            for (r, s) in sum[..m].iter_mut().enumerate() {
+                let row = &self.l.row(i0 + r)[i0..];
+                for (lk, xk) in row[..r].iter().zip(rest.iter()) {
+                    *s -= lk * xk;
+                }
+                rest[r] = *s / row[r];
+            }
+            i0 += m;
         }
     }
 
@@ -158,11 +187,11 @@ impl Cholesky {
     /// [`Cholesky::solve_lower_into`] — `sum = b[i]`, then
     /// `sum -= row[k] * x[k]` in ascending `k`, then `sum / row[i]` — so
     /// per-lane results are bit-identical to the scalar solve. The point
-    /// of interleaving is instruction-level parallelism: the scalar
-    /// solve is one loop-carried FMA chain (each `sum` update waits on
-    /// the previous one), while `L` independent chains keep the FP units
-    /// busy. This is what makes batched GP prediction faster than the
-    /// pointwise loop without changing a single output bit.
+    /// of interleaving is instruction-level parallelism: each row's
+    /// `sum` update waits on the previous one, while `L` independent
+    /// right-hand sides keep the FP units busy on every row. This is
+    /// what makes batched GP prediction faster than the pointwise loop
+    /// without changing a single output bit.
     pub fn solve_lower_interleaved<const L: usize>(&self, b: &[f64], x: &mut [f64]) {
         let n = self.l.rows();
         assert_eq!(b.len(), n * L);

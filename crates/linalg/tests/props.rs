@@ -4,15 +4,66 @@
 use dbtune_linalg::stats;
 use dbtune_linalg::{Cholesky, Matrix};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy: a random matrix B (n×n) from which A = B·Bᵀ + εI is SPD.
 fn spd_matrix(n: usize) -> impl Strategy<Value = Matrix> {
-    proptest::collection::vec(-5.0f64..5.0, n * n).prop_map(move |data| {
-        let b = Matrix::from_vec(n, n, data);
-        let mut a = b.matmul(&b.transpose());
-        a.add_diagonal(0.1);
-        a
-    })
+    proptest::collection::vec(-5.0f64..5.0, n * n).prop_map(move |data| spd_from(&data, n))
+}
+
+/// `B·Bᵀ + 0.1·I` for the `n × n` matrix `B` read row-major from `data`.
+fn spd_from(data: &[f64], n: usize) -> Matrix {
+    let b = Matrix::from_vec(n, n, data[..n * n].to_vec());
+    let mut a = b.matmul(&b.transpose());
+    a.add_diagonal(0.1);
+    a
+}
+
+/// Textbook forward substitution: one loop-carried chain per row,
+/// `sum = b[i]; sum -= L[i][k]·x[k]` for k ascending, then `/ L[i][i]`.
+/// The reference the row-blocked `solve_lower` must match to the bit.
+fn scalar_forward_substitution(l: &Matrix, b: &[f64]) -> Vec<f64> {
+    let mut x = vec![0.0; b.len()];
+    for i in 0..b.len() {
+        let mut sum = b[i];
+        for k in 0..i {
+            sum -= l[(i, k)] * x[k];
+        }
+        x[i] = sum / l[(i, i)];
+    }
+    x
+}
+
+fn assert_solve_matches_reference(c: &Cholesky, b: &[f64]) {
+    let got = c.solve_lower(b);
+    let want = scalar_forward_substitution(c.factor(), b);
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "n {}: row {i} differs ({g} vs {w})", b.len());
+    }
+}
+
+/// `A = B·Bᵀ + 0.1·I` for a seeded uniform `B` (sizes too large for the
+/// proptest strategy to shrink usefully).
+fn seeded_spd(n: usize, seed: u64) -> Matrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let b = Matrix::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
+    let mut a = b.matmul(&b.transpose());
+    a.add_diagonal(0.1);
+    a
+}
+
+/// The row-blocked solve against the scalar reference across every
+/// block/tail split up to two full blocks plus a tail, and at GP sizes.
+#[test]
+fn row_blocked_solve_matches_scalar_reference() {
+    let sizes: Vec<usize> = (1..=17).chain([100, 240]).collect();
+    for n in sizes {
+        let c = Cholesky::decompose(&seeded_spd(n, n as u64)).expect("SPD by construction");
+        let mut rng = StdRng::seed_from_u64(1000 + n as u64);
+        let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
+        assert_solve_matches_reference(&c, &b);
+    }
 }
 
 proptest! {
@@ -119,6 +170,39 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// Row-blocked solve == scalar reference on arbitrary SPD factors of
+    /// every size through the first block/tail boundaries.
+    #[test]
+    fn row_blocked_solve_matches_scalar_on_random_factors(
+        n in 1usize..=17,
+        data in proptest::collection::vec(-5.0f64..5.0, 17 * 17),
+        b in proptest::collection::vec(-3.0f64..3.0, 17),
+    ) {
+        let c = Cholesky::decompose(&spd_from(&data, n)).expect("SPD by construction");
+        assert_solve_matches_reference(&c, &b[..n]);
+    }
+
+    /// The same on near-singular factors: a duplicated row makes the
+    /// bordered matrix singular, so its factor carries a pivot at
+    /// rounding scale (or the jitter that rescued it) — the regime where
+    /// any reassociation would show first.
+    #[test]
+    fn row_blocked_solve_matches_scalar_on_near_singular_factors(
+        n in 7usize..=16,
+        data in proptest::collection::vec(-5.0f64..5.0, 16 * 16),
+        dup in 0usize..7,
+        b in proptest::collection::vec(-3.0f64..3.0, 17),
+    ) {
+        let a = spd_from(&data, n);
+        let mut row: Vec<f64> = (0..n).map(|j| a[(dup, j)]).collect();
+        row.push(a[(dup, dup)]);
+        let mut ext = a.clone();
+        ext.grow_square(&row, &row[..n]);
+        let (c, _) = Cholesky::decompose_with_jitter(&ext, 1e-8, 12)
+            .expect("jitter ladder rescues the singular extension");
+        assert_solve_matches_reference(&c, &b[..=n]);
     }
 
     #[test]
