@@ -7,6 +7,7 @@
 //! heterogeneous, and tree-based surrogates.
 
 use crate::space::ConfigSpace;
+use crate::telemetry;
 use rand::Rng;
 
 /// Expected Improvement for maximization at a point with predictive
@@ -58,88 +59,32 @@ pub fn erf(x: f64) -> f64 {
 
 /// Maximizes an acquisition value over a configuration space.
 ///
-/// `score` maps a raw configuration to its acquisition value. The search
-/// draws `n_random` uniform candidates plus local neighbourhoods around
-/// the provided `incumbents`, then polishes the best candidate with a few
-/// rounds of single-dimension moves.
-pub fn maximize<F>(
-    space: &ConfigSpace,
-    score: F,
-    incumbents: &[Vec<f64>],
-    n_random: usize,
-    rng: &mut impl Rng,
-) -> Vec<f64>
-where
-    F: Fn(&[f64]) -> f64,
-{
-    let mut best_cfg: Option<Vec<f64>> = None;
-    let mut best_val = f64::NEG_INFINITY;
-    let consider =
-        |cfg: Vec<f64>, val: f64, best_cfg: &mut Option<Vec<f64>>, best_val: &mut f64| {
-            if val > *best_val {
-                *best_val = val;
-                *best_cfg = Some(cfg);
-            }
-        };
-
-    for _ in 0..n_random {
-        let cfg = space.sample(rng);
-        let v = score(&cfg);
-        consider(cfg, v, &mut best_cfg, &mut best_val);
-    }
-    for inc in incumbents {
-        for _ in 0..16 {
-            let cfg = space.neighbour(inc, 0.1, rng);
-            let v = score(&cfg);
-            consider(cfg, v, &mut best_cfg, &mut best_val);
-        }
-    }
-
-    // Local polish: greedy single-dimension perturbations.
-    let mut cur = best_cfg.expect("no candidates generated");
-    let mut cur_val = best_val;
-    for _ in 0..4 {
-        let mut improved = false;
-        for d in 0..space.dim() {
-            for &step in &[0.05, 0.2] {
-                let mut cand = cur.clone();
-                space.mutate_dim(&mut cand, d, step, rng);
-                let v = score(&cand);
-                if v > cur_val {
-                    cur_val = v;
-                    cur = cand;
-                    improved = true;
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    cur
-}
-
-/// [`maximize`] with batched scoring: the whole candidate pool (random
-/// samples plus incumbent neighbourhoods) is generated up front and handed
-/// to `batch_score` in one call, so surrogates can amortize their
-/// per-prediction setup (e.g. [`crate::gp::GaussianProcess::predict_batch`]
-/// reuses its kernel-row buffers across the pool).
+/// The search draws `n_random` uniform candidates plus 16 neighbours
+/// around each of the provided `incumbents`, scores that whole pool with
+/// one `batch_score` call (so surrogates can amortize their per-prediction
+/// setup, e.g. [`crate::gp::GaussianProcess::predict_batch`]), and keeps
+/// the first strict maximum in generation order. It then polishes the
+/// winner with a few rounds of greedy single-dimension moves, scoring
+/// each probe with `probe_score`; the polish is sequential by nature
+/// (each move depends on the previous accept/reject).
 ///
-/// Returns the same configuration as [`maximize`] with a pointwise score,
-/// to the bit: candidate generation draws from `rng` in the identical
-/// order (scoring consumes no randomness), the argmax keeps the *first*
-/// strict maximum in generation order exactly like `maximize`'s `consider`,
-/// and the polish phase is inherently sequential so it scores
-/// one-candidate batches. The `gp_equivalence` suite pins this down.
-pub fn maximize_batched<F>(
+/// Both closures must map a raw configuration to the same acquisition
+/// value (`batch_score` one value per row, in order). Scoring consumes no
+/// randomness, so the RNG stream is a function of the space, the
+/// incumbents and the accept/reject decisions alone. The polish mutates
+/// its point in place and restores the one changed coordinate on reject,
+/// so probes allocate nothing here.
+pub fn maximize_batched<B, P>(
     space: &ConfigSpace,
-    batch_score: F,
+    batch_score: B,
+    mut probe_score: P,
     incumbents: &[Vec<f64>],
     n_random: usize,
     rng: &mut impl Rng,
 ) -> Vec<f64>
 where
-    F: Fn(&[Vec<f64>]) -> Vec<f64>,
+    B: FnOnce(&[Vec<f64>]) -> Vec<f64>,
+    P: FnMut(&[f64]) -> f64,
 {
     let mut pool = Vec::with_capacity(n_random + 16 * incumbents.len());
     for _ in 0..n_random {
@@ -167,19 +112,20 @@ where
         .expect("argmax index in range");
     let mut cur_val = best_val;
 
-    // Local polish: greedy single-dimension perturbations (sequential —
-    // each move depends on the previous accept/reject).
+    // Local polish: greedy single-dimension perturbations.
+    let _polish = telemetry::span("acquisition.polish");
     for _ in 0..4 {
         let mut improved = false;
         for d in 0..space.dim() {
             for &step in &[0.05, 0.2] {
-                let mut cand = cur.clone();
-                space.mutate_dim(&mut cand, d, step, rng);
-                let v = batch_score(std::slice::from_ref(&cand))[0];
+                let kept = cur[d];
+                space.mutate_dim(&mut cur, d, step, rng);
+                let v = probe_score(&cur);
                 if v > cur_val {
                     cur_val = v;
-                    cur = cand;
                     improved = true;
+                } else {
+                    cur[d] = kept;
                 }
             }
         }
@@ -250,7 +196,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         // Peak at (0.7, 0.3).
         let score = |c: &[f64]| -((c[0] - 0.7).powi(2) + (c[1] - 0.3).powi(2));
-        let best = maximize(&space, score, &[vec![0.5, 0.5]], 200, &mut rng);
+        let batch = |raws: &[Vec<f64>]| raws.iter().map(|r| score(r)).collect();
+        let best = maximize_batched(&space, batch, score, &[vec![0.5, 0.5]], 200, &mut rng);
         assert!((best[0] - 0.7).abs() < 0.1, "{best:?}");
         assert!((best[1] - 0.3).abs() < 0.1, "{best:?}");
     }
@@ -260,7 +207,8 @@ mod tests {
         let space = ConfigSpace::new(vec![KnobSpec::cat("c", vec!["a", "b", "c", "d"], 0)]);
         let mut rng = StdRng::seed_from_u64(2);
         let score = |c: &[f64]| if c[0] == 2.0 { 1.0 } else { 0.0 };
-        let best = maximize(&space, score, &[], 50, &mut rng);
+        let batch = |raws: &[Vec<f64>]| raws.iter().map(|r| score(r)).collect();
+        let best = maximize_batched(&space, batch, score, &[], 50, &mut rng);
         assert_eq!(best[0], 2.0);
     }
 
@@ -336,7 +284,7 @@ mod tests {
         let space = ConfigSpace::new(vec![KnobSpec::real("a", 0.0, 1.0, false, 0.5)]);
         let mut rng = StdRng::seed_from_u64(9);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            maximize_batched(&space, |raws| vec![0.0; raws.len() + 1], &[], 8, &mut rng)
+            maximize_batched(&space, |raws| vec![0.0; raws.len() + 1], |_| 0.0, &[], 8, &mut rng)
         }));
         assert!(result.is_err(), "length-mismatched batch_score must panic");
     }

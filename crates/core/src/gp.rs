@@ -10,11 +10,13 @@
 //! The fit/predict hot path is incremental and batched (see
 //! `docs/gp-internals.md`): [`GaussianProcess::extend`] grows the Cholesky
 //! factor in O(n²) via [`Cholesky::rank1_append`] instead of refactorizing
-//! in O(n³), and [`GaussianProcess::predict_batch`] scores a whole
-//! candidate matrix against cached row-major kernel blocks without
-//! per-candidate allocation. Both are **bit-identical** to the from-scratch
-//! and pointwise paths — the `gp_equivalence` suite enforces it — so every
-//! committed experiment artifact is unchanged by the optimization.
+//! in O(n³), [`GaussianProcess::predict_batch`] scores a whole candidate
+//! matrix without per-candidate allocation, and
+//! [`GaussianProcess::predict_with`] serves single probes from reusable
+//! buffers. Kernel rows run lane-parallel over dim-major training inputs.
+//! All of it is **bit-identical** to the from-scratch and pointwise
+//! paths — the `gp_equivalence` suite enforces it — so every committed
+//! experiment artifact is unchanged by the optimization.
 
 use crate::telemetry;
 use dbtune_linalg::stats;
@@ -34,18 +36,42 @@ pub trait Kernel: Send + Sync {
     /// Returns a copy with a different lengthscale (for the grid search).
     fn with_lengthscale(&self, ls: f64) -> Box<dyn Kernel>;
 
-    /// Evaluates `k(xᵢ, q)` for every row of `xs` into `out`.
+    /// Evaluates `k(xᵢ, q)` for every training row `xᵢ` into `out`, where
+    /// the training inputs are given dim-major: `cols[j][i]` is
+    /// coordinate `j` of row `i`.
     ///
-    /// The provided implementation loops [`Kernel::eval`]; concrete
-    /// kernels override it with the same loop so the element math runs
-    /// monomorphized (one virtual call per row block instead of one per
-    /// training point). Values are identical either way.
-    fn eval_into(&self, xs: &Matrix, q: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(xs.rows(), out.len());
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.eval(xs.row(i), q);
+    /// Each `out[i]` must equal `eval(xᵢ, q)` to the bit. The kernels
+    /// here fold `(xᵢⱼ − qⱼ)²` in ascending `j` — the per-row operation
+    /// sequence of [`Kernel::eval`] — but lane-parallel across rows, so
+    /// the row runs at throughput instead of one dependency chain per
+    /// training point.
+    fn eval_row(&self, cols: &[Vec<f64>], q: &[f64], out: &mut [f64]);
+}
+
+/// `out[i] = Σⱼ (cols[j][i] − q[j])²` over `dims` in iteration order:
+/// per row the fold of [`dbtune_linalg::matrix::sq_dist`] restricted to
+/// `dims`, with the rows as independent lanes.
+fn sq_dist_row(
+    cols: &[Vec<f64>],
+    dims: impl IntoIterator<Item = usize>,
+    q: &[f64],
+    out: &mut [f64],
+) {
+    out.fill(0.0);
+    for j in dims {
+        let qj = q[j];
+        for (o, &x) in out.iter_mut().zip(&cols[j]) {
+            let d = x - qj;
+            *o += d * d;
         }
     }
+}
+
+/// Matérn-5/2 correlation at squared distance `d2`.
+fn matern52(d2: f64, lengthscale: f64) -> f64 {
+    let r = d2.sqrt() / lengthscale;
+    let s5 = (5.0f64).sqrt() * r;
+    (1.0 + s5 + 5.0 * r * r / 3.0) * (-s5).exp()
 }
 
 /// Squared-exponential kernel on the unit cube (vanilla BO / OtterTune).
@@ -55,20 +81,25 @@ pub struct RbfKernel {
     pub lengthscale: f64,
 }
 
+impl RbfKernel {
+    fn of_sq_dist(&self, d2: f64) -> f64 {
+        (-0.5 * d2 / (self.lengthscale * self.lengthscale)).exp()
+    }
+}
+
 impl Kernel for RbfKernel {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let d2 = dbtune_linalg::matrix::sq_dist(a, b);
-        (-0.5 * d2 / (self.lengthscale * self.lengthscale)).exp()
+        self.of_sq_dist(dbtune_linalg::matrix::sq_dist(a, b))
     }
 
     fn with_lengthscale(&self, ls: f64) -> Box<dyn Kernel> {
         Box::new(RbfKernel { lengthscale: ls })
     }
 
-    fn eval_into(&self, xs: &Matrix, q: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(xs.rows(), out.len());
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.eval(xs.row(i), q);
+    fn eval_row(&self, cols: &[Vec<f64>], q: &[f64], out: &mut [f64]) {
+        sq_dist_row(cols, 0..cols.len(), q, out);
+        for o in out.iter_mut() {
+            *o = self.of_sq_dist(*o);
         }
     }
 }
@@ -82,19 +113,17 @@ pub struct Matern52Kernel {
 
 impl Kernel for Matern52Kernel {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let r = dbtune_linalg::matrix::sq_dist(a, b).sqrt() / self.lengthscale;
-        let s5 = (5.0f64).sqrt() * r;
-        (1.0 + s5 + 5.0 * r * r / 3.0) * (-s5).exp()
+        matern52(dbtune_linalg::matrix::sq_dist(a, b), self.lengthscale)
     }
 
     fn with_lengthscale(&self, ls: f64) -> Box<dyn Kernel> {
         Box::new(Matern52Kernel { lengthscale: ls })
     }
 
-    fn eval_into(&self, xs: &Matrix, q: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(xs.rows(), out.len());
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.eval(xs.row(i), q);
+    fn eval_row(&self, cols: &[Vec<f64>], q: &[f64], out: &mut [f64]) {
+        sq_dist_row(cols, 0..cols.len(), q, out);
+        for o in out.iter_mut() {
+            *o = matern52(*o, self.lengthscale);
         }
     }
 }
@@ -114,6 +143,17 @@ pub struct MixedKernel {
     pub hamming_weight: f64,
 }
 
+impl MixedKernel {
+    /// Hamming part: `exp(−w · mismatch-fraction)`.
+    fn hamming(&self, mismatches: usize) -> f64 {
+        if self.cat_dims.is_empty() {
+            1.0
+        } else {
+            (-self.hamming_weight * mismatches as f64 / self.cat_dims.len() as f64).exp()
+        }
+    }
+}
+
 impl Kernel for MixedKernel {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         // Matérn-5/2 over continuous dims.
@@ -122,29 +162,20 @@ impl Kernel for MixedKernel {
             let d = a[i] - b[i];
             d2 += d * d;
         }
-        let r = d2.sqrt() / self.lengthscale;
-        let s5 = (5.0f64).sqrt() * r;
-        let cont = (1.0 + s5 + 5.0 * r * r / 3.0) * (-s5).exp();
-
-        // Hamming part: exp(−w · mismatch-fraction).
-        let cat = if self.cat_dims.is_empty() {
-            1.0
-        } else {
-            let mismatches =
-                self.cat_dims.iter().filter(|&&i| (a[i] - b[i]).abs() > 0.5).count() as f64;
-            (-self.hamming_weight * mismatches / self.cat_dims.len() as f64).exp()
-        };
-        cont * cat
+        let mismatches = self.cat_dims.iter().filter(|&&i| (a[i] - b[i]).abs() > 0.5).count();
+        matern52(d2, self.lengthscale) * self.hamming(mismatches)
     }
 
     fn with_lengthscale(&self, ls: f64) -> Box<dyn Kernel> {
         Box::new(MixedKernel { lengthscale: ls, ..self.clone() })
     }
 
-    fn eval_into(&self, xs: &Matrix, q: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(xs.rows(), out.len());
+    fn eval_row(&self, cols: &[Vec<f64>], q: &[f64], out: &mut [f64]) {
+        sq_dist_row(cols, self.cont_dims.iter().copied(), q, out);
         for (i, o) in out.iter_mut().enumerate() {
-            *o = self.eval(xs.row(i), q);
+            let mismatches =
+                self.cat_dims.iter().filter(|&&j| (cols[j][i] - q[j]).abs() > 0.5).count();
+            *o = matern52(*o, self.lengthscale) * self.hamming(mismatches);
         }
     }
 }
@@ -169,17 +200,28 @@ fn kernel_matrix(kernel: &dyn Kernel, x: &[Vec<f64>], noise: f64) -> Matrix {
     k
 }
 
+/// Reusable buffers for single-query prediction
+/// ([`GaussianProcess::predict_with`]): the kernel row `k*` and the
+/// triangular-solve vector. Resized on use, so one scratch serves a GP
+/// that keeps growing.
+#[derive(Default)]
+pub struct PredictScratch {
+    kstar: Vec<f64>,
+    v: Vec<f64>,
+}
+
 /// A fitted Gaussian process with standardized targets.
 ///
-/// Training inputs and the noisy covariance are cached in row-major
-/// [`Matrix`] blocks so [`GaussianProcess::extend`] can grow the model in
-/// O(n²) and [`GaussianProcess::predict_batch`] can stream kernel rows
-/// without re-deriving anything.
+/// Training inputs are cached dim-major and the noisy covariance
+/// row-major, so [`GaussianProcess::extend`] can grow the model in O(n²)
+/// and kernel rows stream lane-parallel across training points without
+/// re-deriving anything.
 pub struct GaussianProcess {
     kernel: Box<dyn Kernel>,
-    /// Training inputs, one encoded configuration per row.
-    x: Matrix,
-    /// Cached `K + noise·I` — grown alongside `x`, and the input to the
+    /// Training inputs, dim-major: `cols[j][i]` is coordinate `j` of
+    /// encoded configuration `i`.
+    cols: Vec<Vec<f64>>,
+    /// Cached `K + noise·I` — grown alongside `cols`, and the input to the
     /// jitter-fallback refactorization.
     k: Matrix,
     /// Original-scale targets (standardization is recomputed on extend).
@@ -206,9 +248,10 @@ impl GaussianProcess {
         let k = kernel_matrix(kernel.as_ref(), x, noise);
         let (chol, jitter) = Cholesky::decompose_with_jitter(&k, 1e-8, 12)
             .expect("GP covariance not PD even with jitter");
+        let cols = (0..x[0].len()).map(|j| x.iter().map(|row| row[j]).collect()).collect();
         let mut gp = Self {
             kernel,
-            x: Matrix::from_rows(x),
+            cols,
             k,
             y_raw: y.to_vec(),
             alpha: Vec::new(),
@@ -253,12 +296,15 @@ impl GaussianProcess {
     /// what a from-scratch fit would do.
     pub fn extend(&mut self, x_new: Vec<f64>, y_new: f64) {
         let _span = telemetry::span("gp.extend");
-        let n = self.x.rows();
+        let n = self.n_train();
+        assert_eq!(x_new.len(), self.cols.len(), "extend point has the wrong dimension");
         let mut row = vec![0.0; n + 1];
-        self.kernel.eval_into(&self.x, &x_new, &mut row[..n]);
+        self.kernel.eval_row(&self.cols, &x_new, &mut row[..n]);
         row[n] = self.kernel.eval(&x_new, &x_new) + self.noise;
         self.k.grow_square(&row, &row[..n]);
-        self.x.push_row(&x_new);
+        for (col, &v) in self.cols.iter_mut().zip(&x_new) {
+            col.push(v);
+        }
         self.y_raw.push(y_new);
 
         let appended = self.jitter == 0.0 && self.chol.rank1_append(&row).is_ok();
@@ -273,10 +319,31 @@ impl GaussianProcess {
 
     /// Posterior mean and variance at `q` (original target scale).
     pub fn predict(&self, q: &[f64]) -> (f64, f64) {
-        let n = self.x.rows();
-        let mut kstar = vec![0.0; n];
-        let mut v = vec![0.0; n];
-        self.predict_into(q, &mut kstar, &mut v)
+        self.predict_with(q, &mut PredictScratch::default())
+    }
+
+    /// [`GaussianProcess::predict`] against reusable buffers — the
+    /// allocation-free path for sequential single-query callers such as
+    /// the acquisition polish. Bit-identical to `predict`.
+    pub fn predict_with(&self, q: &[f64], scratch: &mut PredictScratch) -> (f64, f64) {
+        let n = self.n_train();
+        let PredictScratch { kstar, v } = scratch;
+        kstar.resize(n, 0.0);
+        v.resize(n, 0.0);
+        self.kernel.eval_row(&self.cols, q, kstar);
+        let mean_n = dbtune_linalg::matrix::dot(kstar, &self.alpha);
+        self.chol.solve_lower_into(kstar, v);
+        let kss = self.kernel.eval(q, q) + self.noise;
+        let var_n = (kss - sum_of_squares(v)).max(1e-12);
+        (mean_n * self.y_std + self.y_mean, var_n * self.y_std * self.y_std)
+    }
+
+    /// Kernel values `k(xᵢ, q)` against every training point into `out`
+    /// (length [`GaussianProcess::n_train`]) — the dim-major
+    /// [`Kernel::eval_row`] prediction uses.
+    pub fn kernel_row(&self, q: &[f64], out: &mut [f64]) {
+        assert_eq!(out.len(), self.n_train(), "kernel_row output has the wrong length");
+        self.kernel.eval_row(&self.cols, q, out);
     }
 
     /// Lane width of the interleaved batch path: eight independent
@@ -293,11 +360,11 @@ impl GaussianProcess {
     /// routines; the triangular solve — the latency-bound dependency
     /// chain that dominates batched acquisition — runs through
     /// [`Cholesky::solve_lower_interleaved`], which executes each lane's
-    /// scalar operation sequence on four independent chains at once.
-    /// Leftover queries (and single-query calls, e.g. polish probes)
-    /// take the plain pointwise path. Every element is bit-identical to
-    /// [`GaussianProcess::predict`] on the same query — the
-    /// `gp_equivalence` suite enforces this.
+    /// scalar operation sequence on independent chains at once.
+    /// Leftover queries take the pointwise path; the lane buffers are
+    /// only allocated when there is at least one full block. Every
+    /// element is bit-identical to [`GaussianProcess::predict`] on the
+    /// same query — the `gp_equivalence` suite enforces this.
     ///
     /// The `gp.predict_batch` span only opens for true batches
     /// (`qs.len() > 1`): single-probe calls are ~µs-scale and emitting a
@@ -305,19 +372,20 @@ impl GaussianProcess {
     pub fn predict_batch(&self, qs: &[Vec<f64>]) -> Vec<(f64, f64)> {
         let _span = (qs.len() > 1).then(|| telemetry::span("gp.predict_batch"));
         const LANES: usize = GaussianProcess::LANES;
-        let n = self.x.rows();
+        let n = self.n_train();
         let mut out = Vec::with_capacity(qs.len());
+        let mut blocks = qs.chunks_exact(LANES);
         // Per-lane contiguous kernel rows plus lane-major solve buffers,
         // shared across all blocks — no per-candidate allocation.
-        let mut kstar = vec![0.0; n * LANES];
-        let mut b_il = vec![0.0; n * LANES];
-        let mut v_il = vec![0.0; n * LANES];
-        let mut blocks = qs.chunks_exact(LANES);
+        let lane_len = if blocks.len() > 0 { n * LANES } else { 0 };
+        let mut kstar = vec![0.0; lane_len];
+        let mut b_il = vec![0.0; lane_len];
+        let mut v_il = vec![0.0; lane_len];
         for block in blocks.by_ref() {
             let mut mean_n = [0.0; LANES];
             for (l, q) in block.iter().enumerate() {
                 let row = &mut kstar[l * n..(l + 1) * n];
-                self.kernel.eval_into(&self.x, q, row);
+                self.kernel.eval_row(&self.cols, q, row);
                 mean_n[l] = dbtune_linalg::matrix::dot(row, &self.alpha);
             }
             for k in 0..n {
@@ -343,27 +411,16 @@ impl GaussianProcess {
                 out.push((mean_n[l] * self.y_std + self.y_mean, var_n * self.y_std * self.y_std));
             }
         }
-        let mut ks = vec![0.0; n];
-        let mut v = vec![0.0; n];
+        let mut scratch = PredictScratch::default();
         for q in blocks.remainder() {
-            out.push(self.predict_into(q, &mut ks, &mut v));
+            out.push(self.predict_with(q, &mut scratch));
         }
         out
     }
 
-    /// One posterior evaluation against caller-provided scratch buffers.
-    fn predict_into(&self, q: &[f64], kstar: &mut [f64], v: &mut [f64]) -> (f64, f64) {
-        self.kernel.eval_into(&self.x, q, kstar);
-        let mean_n = dbtune_linalg::matrix::dot(kstar, &self.alpha);
-        self.chol.solve_lower_into(kstar, v);
-        let kss = self.kernel.eval(q, q) + self.noise;
-        let var_n = (kss - sum_of_squares(v)).max(1e-12);
-        (mean_n * self.y_std + self.y_mean, var_n * self.y_std * self.y_std)
-    }
-
     /// Number of training points.
     pub fn n_train(&self) -> usize {
-        self.x.rows()
+        self.y_raw.len()
     }
 
     /// Diagonal jitter the current factor carries (0.0 on the fast path;

@@ -11,7 +11,9 @@ use super::{ObsStore, Optimizer, SurrogateIntrospect};
 use crate::acquisition::{
     expected_improvement, maximize_batched, probability_of_improvement, upper_confidence_bound,
 };
-use crate::gp::{select_hyperparams, GaussianProcess, Kernel, MixedKernel, RbfKernel};
+use crate::gp::{
+    select_hyperparams, GaussianProcess, Kernel, MixedKernel, PredictScratch, RbfKernel,
+};
 use crate::space::ConfigSpace;
 use crate::telemetry;
 use rand::rngs::StdRng;
@@ -91,13 +93,15 @@ impl BoOptimizer {
     /// Mixed: numeric dims unit-encoded, categorical dims left as codes so
     /// the Hamming kernel can compare identities.
     fn encode(&self, raw: &[f64]) -> Vec<f64> {
+        raw.iter().enumerate().map(|(d, &v)| self.encode_dim(d, v)).collect()
+    }
+
+    /// Encodes coordinate `d` alone: the encoding is per-dimension.
+    fn encode_dim(&self, d: usize, v: f64) -> f64 {
+        let domain = &self.space.specs()[d].domain;
         match self.kind {
-            BoKind::Vanilla => self.space.to_unit(raw),
-            BoKind::Mixed => raw
-                .iter()
-                .zip(self.space.specs())
-                .map(|(v, s)| if s.domain.is_categorical() { *v } else { s.domain.to_unit(*v) })
-                .collect(),
+            BoKind::Mixed if domain.is_categorical() => v,
+            _ => domain.to_unit(v),
         }
     }
 
@@ -184,20 +188,36 @@ impl Optimizer for BoOptimizer {
 
         let incumbents: Vec<Vec<f64>> =
             self.obs.top_k(3).into_iter().map(|i| self.obs.x[i].clone()).collect();
-        let acq = self.acquisition;
+        let acq = |(m, v): (f64, f64)| match self.acquisition {
+            Acquisition::Ei => expected_improvement(m, v, best, 0.01),
+            Acquisition::Ucb { beta } => upper_confidence_bound(m, v, beta),
+            Acquisition::Pi => probability_of_improvement(m, v, best, 0.01),
+        };
+        // Polish probes differ from the previous probe in one coordinate:
+        // re-encode only the coordinates whose raw bits changed, and
+        // predict against reusable buffers.
+        let mut probe_raw: Vec<f64> = Vec::new();
+        let mut probe_enc: Vec<f64> = Vec::new();
+        let mut scratch = PredictScratch::default();
         let _acq_span = telemetry::span("acquisition");
         let cand = maximize_batched(
             &self.space,
             |raws| {
                 let enc: Vec<Vec<f64>> = raws.iter().map(|r| self.encode(r)).collect();
-                gp.predict_batch(&enc)
-                    .into_iter()
-                    .map(|(m, v)| match acq {
-                        Acquisition::Ei => expected_improvement(m, v, best, 0.01),
-                        Acquisition::Ucb { beta } => upper_confidence_bound(m, v, beta),
-                        Acquisition::Pi => probability_of_improvement(m, v, best, 0.01),
-                    })
-                    .collect()
+                gp.predict_batch(&enc).into_iter().map(acq).collect()
+            },
+            |raw| {
+                if probe_raw.len() != raw.len() {
+                    probe_raw = raw.to_vec();
+                    probe_enc = self.encode(raw);
+                }
+                for (d, (&v, kept)) in raw.iter().zip(probe_raw.iter_mut()).enumerate() {
+                    if v.to_bits() != kept.to_bits() {
+                        *kept = v;
+                        probe_enc[d] = self.encode_dim(d, v);
+                    }
+                }
+                acq(gp.predict_with(&probe_enc, &mut scratch))
             },
             &incumbents,
             self.n_candidates,
@@ -207,11 +227,7 @@ impl Optimizer for BoOptimizer {
         // moments. Stateless and RNG-free, and skipped entirely when
         // diagnostics are off, so the diag-off path is byte-for-byte the
         // original one.
-        let pred = if telemetry::global().diag_enabled() {
-            gp.predict_batch(&[self.encode(&cand)]).first().copied()
-        } else {
-            None
-        };
+        let pred = telemetry::global().diag_enabled().then(|| gp.predict(&self.encode(&cand)));
         self.last_pred = pred;
         cand
     }

@@ -11,7 +11,7 @@ use super::{ObsStore, Optimizer, SurrogateIntrospect};
 use crate::acquisition::{expected_improvement, maximize_batched};
 use crate::space::ConfigSpace;
 use crate::telemetry;
-use dbtune_ml::{RandomForest, RandomForestParams, Regressor};
+use dbtune_ml::{RandomForest, RandomForestParams, Regressor, UncertainRegressor};
 use rand::rngs::StdRng;
 
 /// SMAC hyper-parameters.
@@ -116,6 +116,10 @@ impl Optimizer for Smac {
                     .into_iter()
                     .map(|(m, v)| expected_improvement(m, v, best, 0.01))
                     .collect()
+            },
+            |raw| {
+                let (m, v) = rf.predict_with_variance(raw);
+                expected_improvement(m, v, best, 0.01)
             },
             &incumbents,
             self.params.n_candidates,

@@ -11,7 +11,7 @@
 //! simply receives weight ≈ 0.
 
 use super::SourceTask;
-use crate::acquisition::{expected_improvement, maximize};
+use crate::acquisition::{expected_improvement, maximize_batched};
 use crate::gp::{GaussianProcess, MixedKernel};
 use crate::optimizer::{ObsStore, Optimizer, SurrogateIntrospect};
 use crate::space::ConfigSpace;
@@ -214,22 +214,24 @@ impl Optimizer for RgpeOptimizer {
             self.base_models.iter().chain(std::iter::once(&target_model)).collect();
         let incumbents: Vec<Vec<f64>> =
             self.obs.top_k(3).into_iter().map(|i| self.obs.x[i].clone()).collect();
-        maximize(
-            &self.space,
-            |raw| {
-                let mut mean = 0.0;
-                let mut second = 0.0;
-                for (w, m) in weights.iter().zip(&all_models) {
-                    if *w < 1e-6 {
-                        continue;
-                    }
-                    let (mu, var) = self.predict_model(m, raw);
-                    mean += w * mu;
-                    second += w * (var + mu * mu);
+        let score = |raw: &[f64]| {
+            let mut mean = 0.0;
+            let mut second = 0.0;
+            for (w, m) in weights.iter().zip(&all_models) {
+                if *w < 1e-6 {
+                    continue;
                 }
-                let var = (second - mean * mean).max(1e-12);
-                expected_improvement(mean, var, best_z, 0.01)
-            },
+                let (mu, var) = self.predict_model(m, raw);
+                mean += w * mu;
+                second += w * (var + mu * mu);
+            }
+            let var = (second - mean * mean).max(1e-12);
+            expected_improvement(mean, var, best_z, 0.01)
+        };
+        maximize_batched(
+            &self.space,
+            |raws| raws.iter().map(|raw| score(raw)).collect(),
+            score,
             &incumbents,
             self.n_candidates,
             rng,

@@ -8,15 +8,18 @@
 //!
 //! 1. model level — `GaussianProcess::extend` vs `fit`, `predict_batch`
 //!    vs looped `predict`, over all three kernels;
-//! 2. search level — `maximize_batched` vs `maximize` under GP- and
-//!    forest-backed scoring closures;
+//!    plus the dim-major kernel row against `Kernel::eval` row by row;
+//! 2. search level — `maximize_batched` (pool-first, in-place polish)
+//!    vs the pointwise, clone-per-probe `maximize` reference below,
+//!    under GP- and forest-backed scoring closures;
 //! 3. optimizer level — `BoOptimizer::suggest` (incremental + batched)
 //!    vs a from-scratch reference replay of the historical suggest loop,
 //!    RNG stream and all.
 
-use dbtune_core::acquisition::{expected_improvement, maximize, maximize_batched};
+use dbtune_core::acquisition::{expected_improvement, maximize_batched};
 use dbtune_core::gp::{
-    select_hyperparams, GaussianProcess, Kernel, Matern52Kernel, MixedKernel, RbfKernel,
+    select_hyperparams, GaussianProcess, Kernel, Matern52Kernel, MixedKernel, PredictScratch,
+    RbfKernel,
 };
 use dbtune_core::optimizer::{BoKind, BoOptimizer, ObsStore, Optimizer};
 use dbtune_core::space::ConfigSpace;
@@ -25,6 +28,63 @@ use dbtune_ml::{RandomForest, RandomForestParams, Regressor, UncertainRegressor}
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The historical pointwise maximizer, kept as the reference
+/// `maximize_batched` is checked against: every candidate scored on its
+/// own as it is drawn, and every polish probe a fresh clone of the
+/// current point.
+fn maximize<F>(
+    space: &ConfigSpace,
+    score: F,
+    incumbents: &[Vec<f64>],
+    n_random: usize,
+    rng: &mut impl Rng,
+) -> Vec<f64>
+where
+    F: Fn(&[f64]) -> f64,
+{
+    let mut best_cfg: Option<Vec<f64>> = None;
+    let mut best_val = f64::NEG_INFINITY;
+    let mut consider = |cfg: Vec<f64>, val: f64| {
+        if val > best_val {
+            best_val = val;
+            best_cfg = Some(cfg);
+        }
+    };
+    for _ in 0..n_random {
+        let cfg = space.sample(rng);
+        let v = score(&cfg);
+        consider(cfg, v);
+    }
+    for inc in incumbents {
+        for _ in 0..16 {
+            let cfg = space.neighbour(inc, 0.1, rng);
+            let v = score(&cfg);
+            consider(cfg, v);
+        }
+    }
+    let mut cur = best_cfg.expect("no candidates generated");
+    let mut cur_val = best_val;
+    for _ in 0..4 {
+        let mut improved = false;
+        for d in 0..space.dim() {
+            for &step in &[0.05, 0.2] {
+                let mut cand = cur.clone();
+                space.mutate_dim(&mut cand, d, step, rng);
+                let v = score(&cand);
+                if v > cur_val {
+                    cur_val = v;
+                    cur = cand;
+                    improved = true;
+                }
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    cur
+}
 
 /// One prototype kernel per family, over 3-dim inputs with dim 2
 /// categorical (codes 0..4). The mixed kernel exercises both parts.
@@ -98,6 +158,74 @@ fn predict_batch_matches_pointwise_all_kernels() {
     }
 }
 
+/// The three kernels over `d` dims; the mixed kernel takes every third
+/// dim as categorical and folds its continuous dims in descending order,
+/// so a fold that ignored `cont_dims` order would show.
+fn kernels_for_dim(d: usize) -> Vec<(&'static str, Box<dyn Kernel>)> {
+    let ls = 0.3 * (d as f64).sqrt();
+    let cat_dims: Vec<usize> = (0..d).filter(|j| d > 1 && j % 3 == 1).collect();
+    let cont_dims: Vec<usize> = (0..d).rev().filter(|j| !cat_dims.contains(j)).collect();
+    vec![
+        ("rbf", Box::new(RbfKernel { lengthscale: ls })),
+        ("matern52", Box::new(Matern52Kernel { lengthscale: ls })),
+        (
+            "mixed",
+            Box::new(MixedKernel { cont_dims, cat_dims, lengthscale: ls, hamming_weight: 2.0 }),
+        ),
+    ]
+}
+
+/// A `d`-dim point: unit coordinates, category codes 0..4 on the dims
+/// `kernels_for_dim` makes categorical.
+fn point(d: usize, rng: &mut StdRng) -> Vec<f64> {
+    (0..d)
+        .map(|j| if d > 1 && j % 3 == 1 { rng.gen_range(0..4) as f64 } else { rng.gen() })
+        .collect()
+}
+
+/// The dim-major kernel row must equal `Kernel::eval` on each training
+/// row to the bit — an independent reference, since `predict` and
+/// `predict_batch` both go through the row. Checked for all three
+/// kernels across block-edge sizes and paper-scale dimensions, after the
+/// initial fit and after every `extend` of the chain.
+#[test]
+fn kernel_row_matches_eval_row_by_row() {
+    for d in [1usize, 20, 197] {
+        for n in [1usize, 7, 8, 9, 100] {
+            let mut rng = StdRng::seed_from_u64((d * 1000 + n) as u64);
+            let x: Vec<Vec<f64>> = (0..n).map(|_| point(d, &mut rng)).collect();
+            let y: Vec<f64> = (0..n).map(|_| rng.gen::<f64>()).collect();
+            let mut queries: Vec<Vec<f64>> = (0..3).map(|_| point(d, &mut rng)).collect();
+            queries.push(x[n / 2].clone());
+            for (name, kernel) in kernels_for_dim(d) {
+                let start = n.div_ceil(2);
+                let mut gp = GaussianProcess::fit(
+                    kernel.with_lengthscale(0.3 * (d as f64).sqrt()),
+                    &x[..start],
+                    &y[..start],
+                    1e-2,
+                );
+                for m in start..=n {
+                    if m > start {
+                        gp.extend(x[m - 1].clone(), y[m - 1]);
+                    }
+                    let mut row = vec![0.0; m];
+                    for q in &queries {
+                        gp.kernel_row(q, &mut row);
+                        for (i, (xi, r)) in x.iter().zip(&row).enumerate() {
+                            assert_eq!(
+                                kernel.eval(xi, q).to_bits(),
+                                r.to_bits(),
+                                "{name}, d {d}, n {m}: row {i} differs from Kernel::eval"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -156,6 +284,7 @@ fn maximize_batched_matches_pointwise_maximize_under_gp_scoring() {
         let mut rng_a = StdRng::seed_from_u64(seed);
         let mut rng_b = StdRng::seed_from_u64(seed);
         let enc = |space: &ConfigSpace, raw: &[f64]| space.to_unit(raw);
+        let mut scratch = PredictScratch::default();
         let a = maximize(
             &space,
             |raw| {
@@ -174,6 +303,10 @@ fn maximize_batched_matches_pointwise_maximize_under_gp_scoring() {
                     .into_iter()
                     .map(|(m, v)| expected_improvement(m, v, best, 0.01))
                     .collect()
+            },
+            |raw| {
+                let (m, v) = gp.predict_with(&enc(&space, raw), &mut scratch);
+                expected_improvement(m, v, best, 0.01)
             },
             &incumbents,
             128,
@@ -221,6 +354,10 @@ fn maximize_batched_matches_pointwise_under_forest_scoring() {
                     .into_iter()
                     .map(|(m, v)| expected_improvement(m, v, best, 0.01))
                     .collect()
+            },
+            |raw| {
+                let (m, v) = rf.predict_with_variance(raw);
+                expected_improvement(m, v, best, 0.01)
             },
             &[x[0].clone()],
             96,
