@@ -154,18 +154,12 @@ impl Cholesky {
             let mut sum = [0.0f64; R];
             sum[..m].copy_from_slice(&b[i0..i0 + m]);
             let (done, rest) = x.split_at_mut(i0);
-            if m == R {
-                let rows: [&[f64]; R] = std::array::from_fn(|r| &self.l.row(i0 + r)[..i0]);
-                for (k, &xk) in done.iter().enumerate() {
-                    for r in 0..R {
-                        sum[r] -= rows[r][k] * xk;
-                    }
-                }
-            } else {
-                for (r, s) in sum[..m].iter_mut().enumerate() {
-                    for (lk, xk) in self.l.row(i0 + r)[..i0].iter().zip(done.iter()) {
-                        *s -= lk * xk;
-                    }
+            // A short last block repeats its last row in the unused
+            // chains; their sums are never read.
+            let rows: [&[f64]; R] = std::array::from_fn(|r| &self.l.row(i0 + r.min(m - 1))[..i0]);
+            for (k, &xk) in done.iter().enumerate() {
+                for r in 0..R {
+                    sum[r] -= rows[r][k] * xk;
                 }
             }
             for (r, s) in sum[..m].iter_mut().enumerate() {

@@ -43,14 +43,11 @@ fn assert_solve_matches_reference(c: &Cholesky, b: &[f64]) {
     }
 }
 
-/// `A = B·Bᵀ + 0.1·I` for a seeded uniform `B` (sizes too large for the
-/// proptest strategy to shrink usefully).
+/// `A = B·Bᵀ + 0.1·I` for a seeded uniform `B`, at fixed sizes.
 fn seeded_spd(n: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
-    let b = Matrix::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
-    let mut a = b.matmul(&b.transpose());
-    a.add_diagonal(0.1);
-    a
+    let data: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    spd_from(&data, n)
 }
 
 /// The row-blocked solve against the scalar reference across every
