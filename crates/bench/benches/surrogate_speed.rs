@@ -8,9 +8,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dbtune_benchmark::collect::collect_samples;
 use dbtune_benchmark::objective::SurrogateBenchmark;
+use dbtune_core::exec::DeterministicObjective;
 use dbtune_core::gp::{select_hyperparams, GaussianProcess, Kernel, PredictScratch, RbfKernel};
 use dbtune_core::space::TuningSpace;
-use dbtune_core::tuner::SimObjective;
 use dbtune_dbsim::{DbSimulator, Hardware, Objective, Workload};
 use dbtune_linalg::{Cholesky, Matrix};
 use rand::rngs::StdRng;
@@ -36,12 +36,12 @@ fn evaluations(c: &mut Criterion) {
     let mut sim = DbSimulator::new(Workload::Sysbench, Hardware::B, 5);
     let space = bench_space(&sim);
     let ds = collect_samples(&mut sim, &space, 300, 7);
-    let mut bench = SurrogateBenchmark::train(space.clone(), Objective::Throughput, &ds, 1);
+    let bench = SurrogateBenchmark::train(space.clone(), Objective::Throughput, &ds, 1);
     let cfg = space.full_config(&space.default_sub());
 
     let mut group = c.benchmark_group("evaluation");
     group.bench_function("surrogate_predict", |b| {
-        b.iter(|| black_box(SimObjective::evaluate(&mut bench, black_box(&cfg)).value))
+        b.iter(|| black_box(bench.evaluate_pure(black_box(&cfg), 0).value))
     });
     group.bench_function("simulator_evaluate", |b| {
         b.iter(|| black_box(sim.evaluate(black_box(&cfg)).value))

@@ -22,15 +22,13 @@ use dbtune_bench::{
     GridOpts,
 };
 use dbtune_benchmark::collect::{collect_samples, Dataset};
-use dbtune_benchmark::objective::SurrogateBenchmark;
+use dbtune_benchmark::objective::{SpeedupReport, SurrogateBenchmark};
 use dbtune_core::exec::{run_grid, CachedObjective};
 use dbtune_core::importance::MeasureKind;
 use dbtune_core::optimizer::OptimizerKind;
 use dbtune_core::space::TuningSpace;
 use dbtune_core::tuner::{run_session, SessionConfig};
-use dbtune_dbsim::{
-    DbSimulator, Hardware, Objective, Workload, EVAL_SECONDS, METRICS_DIM, RESTART_SECONDS,
-};
+use dbtune_dbsim::{DbSimulator, Hardware, Objective, Workload, METRICS_DIM};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -138,14 +136,10 @@ fn main() {
             grid.len() * iters
         }
     };
-    let replay_secs = n_evals as f64 * (EVAL_SECONDS + RESTART_SECONDS);
+    let ledger = SpeedupReport::new(n_evals, grid_wall_secs);
     println!(
         "\nSpeedup ledger: {} surrogate evaluations ({} unique after caching) in {:.2}s vs {:.0}s of simulated replay -> {:.0}x (paper: 150-311x end-to-end)",
-        n_evals,
-        exec.cache.entries,
-        grid_wall_secs,
-        replay_secs,
-        if grid_wall_secs > 0.0 { replay_secs / grid_wall_secs } else { f64::INFINITY }
+        ledger.n_evals, exec.cache.entries, ledger.wall_secs, ledger.replay_secs, ledger.speedup
     );
     print_exec_summary(&exec);
 

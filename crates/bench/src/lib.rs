@@ -306,40 +306,16 @@ pub struct TuningCell {
     pub seed: u64,
 }
 
-/// Runs one tuning session against a cache-wrapped simulator. Pure given
-/// the cell and `noise_seed` — the shared cache only memoizes, so results
-/// are identical with the cache on, off, or shared (see
-/// [`CachedObjective`]).
-pub fn run_cached_session(
-    cell: &TuningCell,
-    cache: Option<Arc<EvalCache>>,
-    noise_seed: u64,
-) -> SessionResult {
-    run_cached_session_with_stats(cell, cache, noise_seed).0
-}
-
-/// [`run_cached_session`] plus the session's own cache hit/miss counts
-/// (per-cell, unlike the grid-wide [`EvalCache::stats`]) — the numbers the
-/// journal's per-cell events report.
-pub fn run_cached_session_with_stats(
-    cell: &TuningCell,
-    cache: Option<Arc<EvalCache>>,
-    noise_seed: u64,
-) -> (SessionResult, u64, u64) {
-    run_faulty_session_with_stats(
-        cell,
-        cache,
-        noise_seed,
-        FaultPlan::disabled(),
-        RetryPolicy::none(),
-    )
-}
-
-/// [`run_cached_session_with_stats`] under a fault schedule: the cell's
-/// simulator is wrapped with `plan`/`retry`, so transient faults strike,
-/// are retried with simulated backoff, and exhausted evaluations surface
-/// as failures to the session's [`FailurePolicy`]. With `plan` inactive
-/// this is *exactly* the plain path (see `CachedObjective::with_faults`).
+/// Runs one tuning session against a cache-wrapped simulator under a
+/// fault schedule, returning the result plus the session's own cache
+/// hit/miss counts (per-cell, unlike the grid-wide [`EvalCache::stats`]) —
+/// the numbers the journal's per-cell events report. Pure given the cell,
+/// `noise_seed` and `plan`: the shared cache only memoizes, so results are
+/// identical with the cache on, off, or shared (see [`CachedObjective`]).
+/// Transient faults strike, are retried with simulated backoff, and
+/// exhausted evaluations surface as failures to the session's
+/// [`FailurePolicy`]; with `plan` inactive this is *exactly* the plain
+/// path (see `CachedObjective::with_faults`).
 pub fn run_faulty_session_with_stats(
     cell: &TuningCell,
     cache: Option<Arc<EvalCache>>,
@@ -610,21 +586,6 @@ pub fn top_k_knobs(
     seed: u64,
 ) -> Vec<usize> {
     dbtune_core::importance::top_k(&importance_scores(kind, catalog, pool, seed), k)
-}
-
-/// Runs one full tuning session of `opt_kind` over the selected knobs of
-/// `workload` on instance B — the single-cell convenience form of
-/// [`run_tuning_grid`], sharing its deterministic noise scheme (noise
-/// seed = session seed, no cache).
-pub fn run_tuning(
-    workload: Workload,
-    selected: Vec<usize>,
-    opt_kind: OptimizerKind,
-    iters: usize,
-    seed: u64,
-) -> SessionResult {
-    let cell = TuningCell { workload, selected, opt_kind, iters, seed };
-    run_cached_session(&cell, None, seed)
 }
 
 /// Median of a slice (convenience re-export for drivers).

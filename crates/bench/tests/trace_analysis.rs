@@ -17,6 +17,17 @@ use dbtune_trace::{build_trees, diff_summaries, merge_paths, summarize, DiffConf
 use serde::Value;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests that time real driver runs. The test harness
+/// runs tests on parallel threads; two drivers sharing the CPU inflate
+/// each other's wall times and `*_nanos` counters past the diff
+/// threshold, so a run diffed against another would measure the
+/// contention, not the code.
+fn timed_runs() -> MutexGuard<'static, ()> {
+    static TIMED: Mutex<()> = Mutex::new(());
+    TIMED.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dbtune_trace_analysis_{tag}"));
@@ -47,6 +58,7 @@ fn run_fig9(dir: &Path, journal: &Path) {
 
 #[test]
 fn trace_report_reconstructs_a_real_journal_with_exact_self_time() {
+    let _serial = timed_runs();
     let dir = scratch("report");
     let journal_path = dir.join("fig9.jsonl");
     run_fig9(&dir, &journal_path);
@@ -98,6 +110,7 @@ fn trace_report_reconstructs_a_real_journal_with_exact_self_time() {
 
 #[test]
 fn identical_seed_runs_diff_to_zero_counter_deltas() {
+    let _serial = timed_runs();
     let dir = scratch("diff_clean");
     let (a, b) = (dir.join("a.jsonl"), dir.join("b.jsonl"));
     run_fig9(&dir.join("run_a"), &a);
@@ -166,6 +179,7 @@ fn trace_diff_gate_flags_an_artificially_slowed_span() {
 
 #[test]
 fn perf_baseline_results_are_deterministic_and_self_diff_is_clean() {
+    let _serial = timed_runs();
     let dir = scratch("perf");
     let exe = env!("CARGO_BIN_EXE_perf_baseline");
     let small = ["repeats=2", "iters=16", "workers=1"];

@@ -9,11 +9,12 @@
 //!    regions plus LHS coverage of the rest;
 //! 2. [`surrogate`] trains and cross-validates the Table 9 model zoo
 //!    (RF, GB, SVR, NuSVR, KNN, Ridge) and picks the winner;
-//! 3. [`objective`] wraps the chosen model as a drop-in
-//!    [`dbtune_core::tuner::SimObjective`], so every optimizer and
-//!    experiment driver runs unchanged against the cheap benchmark, and
-//!    tracks the wall-clock ledger behind the paper's 150–311× speedup
-//!    claim.
+//! 3. [`objective`] wraps the chosen model as a pure
+//!    [`dbtune_core::exec::DeterministicObjective`], so every optimizer
+//!    and experiment driver runs unchanged against the cheap benchmark
+//!    through [`dbtune_core::exec::CachedObjective`], and holds the
+//!    ledger behind the paper's 150–311× end-to-end speedup claim
+//!    ([`SpeedupReport`]).
 
 pub mod collect;
 pub mod objective;

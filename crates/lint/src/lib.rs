@@ -23,8 +23,7 @@
 //! **R** (determinism taint reachable from the results-producing
 //! tuner/exec/dbsim paths), **C** (concurrency hygiene: relaxed-load
 //! guards, inconsistent lock order), and **S** (telemetry schema
-//! agreement between code, `docs/observability.md`, and the
-//! `dbtune-trace::diff` policy table).
+//! agreement between code and `docs/observability.md`).
 //!
 //! Violations are suppressible line-by-line with a `// lint:` pragma that
 //! *must* carry a justification; every pragma is captured in the JSON

@@ -18,8 +18,6 @@
 //! | S1   | telemetry name emitted but not documented in                    |
 //! |      | `docs/observability.md`                                         |
 //! | S2   | documented telemetry name with no emitter (dead doc row)        |
-//! | S3   | counter/gauge without a `METRIC_POLICY` entry in                |
-//! |      | `dbtune-trace::diff`, or a policy entry with no emitter         |
 //!
 //! The "results path" is approximated as every non-test function defined
 //! under `crates/{core,dbsim,ml,linalg}/src`, plus everything they reach
@@ -33,7 +31,6 @@ use std::path::Path;
 
 use crate::graph::CallGraph;
 use crate::report::Finding;
-use crate::scanner;
 use crate::symbols::{EmitKind, FileSymbols, TaintKind};
 
 /// Directories whose non-test functions seed the results-path
@@ -45,9 +42,6 @@ const ROOT_DIRS: &[&str] =
 /// cross-checks. When the scan root has no such file (fixture corpora
 /// exercising other families), the S pass is skipped entirely.
 const DOC_PATH: &str = "docs/observability.md";
-
-/// Workspace-relative path of the diff-policy table the S pass reads.
-const POLICY_PATH: &str = "crates/trace/src/diff.rs";
 
 fn is_telemetry(path: &str) -> bool {
     path.starts_with("crates/obs/") || path.starts_with("crates/trace/")
@@ -254,25 +248,26 @@ fn lock_order_pass(graph: &CallGraph, out: &mut Vec<Finding>) {
     }
 }
 
-/// Rule family S: the telemetry name schema must agree three ways —
-/// emitters in code, the tables in `docs/observability.md`, and the
-/// `METRIC_POLICY` table in `dbtune-trace::diff`.
+/// Rule family S: the telemetry name schema must agree two ways —
+/// emitters in code and the tables in `docs/observability.md`. The trace
+/// diff policy needs no third table: `dbtune-trace::diff` derives it
+/// from each metric's kind and name.
 fn schema_pass(root: &Path, files: &[(String, FileSymbols)], out: &mut Vec<Finding>) {
     let Ok(docs) = fs::read_to_string(root.join(DOC_PATH)) else {
         return; // corpus without observability docs: S pass out of scope
     };
     let (doc_metrics, doc_spans) = parse_doc_tables(&docs);
 
-    // name → emission sites (kind, path, line), non-test code only.
-    let mut metrics: BTreeMap<String, Vec<(EmitKind, String, usize)>> = BTreeMap::new();
-    let mut spans: BTreeMap<String, Vec<(EmitKind, String, usize)>> = BTreeMap::new();
+    // name → emission sites (path, line), non-test code only.
+    let mut metrics: BTreeMap<String, Vec<(String, usize)>> = BTreeMap::new();
+    let mut spans: BTreeMap<String, Vec<(String, usize)>> = BTreeMap::new();
     for (path, syms) in files {
         for e in &syms.emissions {
             if e.in_test {
                 continue;
             }
             let book = if e.kind == EmitKind::Span { &mut spans } else { &mut metrics };
-            book.entry(e.name.clone()).or_default().push((e.kind, path.clone(), e.line));
+            book.entry(e.name.clone()).or_default().push((path.clone(), e.line));
         }
     }
 
@@ -282,16 +277,15 @@ fn schema_pass(root: &Path, files: &[(String, FileSymbols)], out: &mut Vec<Findi
             if doc.contains_key(name) {
                 continue;
             }
-            for (_, path, line) in sites {
+            for (path, line) in sites {
                 out.push(Finding {
                     path: path.clone(),
                     line: *line,
                     rule: "S1".to_string(),
                     message: format!(
                         "{what} `{name}` is emitted here but not documented in {DOC_PATH} — \
-                         add a table row (the S pass keeps code, docs, and the trace diff \
-                         policy in three-way agreement), or annotate \
-                         `// lint: allow(S1) <why it is intentionally undocumented>`"
+                         add a table row (the S pass keeps code and docs in agreement), or \
+                         annotate `// lint: allow(S1) <why it is intentionally undocumented>`"
                     ),
                 });
             }
@@ -312,45 +306,6 @@ fn schema_pass(root: &Path, files: &[(String, FileSymbols)], out: &mut Vec<Findi
                     ),
                 });
             }
-        }
-    }
-
-    // S3 — counter/gauge ↔ diff-policy agreement.
-    let Ok(diff_src) = fs::read_to_string(root.join(POLICY_PATH)) else {
-        return;
-    };
-    let policy = parse_policy(&diff_src);
-    for (name, sites) in &metrics {
-        if policy.contains_key(name) {
-            continue;
-        }
-        for (kind, path, line) in sites {
-            if matches!(kind, EmitKind::Counter | EmitKind::Gauge) {
-                out.push(Finding {
-                    path: path.clone(),
-                    line: *line,
-                    rule: "S3".to_string(),
-                    message: format!(
-                        "metric `{name}` has no METRIC_POLICY entry in {POLICY_PATH} — every \
-                         counter/gauge must declare an Exact or Noise diff policy so \
-                         baseline comparison stays complete, or annotate \
-                         `// lint: allow(S3) <why it is exempt from baseline diffs>`"
-                    ),
-                });
-            }
-        }
-    }
-    for (name, &line) in &policy {
-        if !metrics.contains_key(name) {
-            out.push(Finding {
-                path: POLICY_PATH.to_string(),
-                line,
-                rule: "S3".to_string(),
-                message: format!(
-                    "METRIC_POLICY entry `{name}` matches no emitter in the workspace — \
-                     remove the dead entry"
-                ),
-            });
         }
     }
 }
@@ -400,27 +355,6 @@ fn parse_doc_tables(docs: &str) -> (BTreeMap<String, usize>, BTreeMap<String, us
         book.entry(name.to_string()).or_insert(idx + 1);
     }
     (metrics, spans)
-}
-
-/// Extracts the metric names of `METRIC_POLICY` entries from the raw
-/// source of `dbtune-trace::diff`. The cleaned line gates the match (a
-/// commented-out entry never counts); the raw line supplies the literal
-/// the scanner masked. Returns name → 1-based line.
-fn parse_policy(diff_src: &str) -> BTreeMap<String, usize> {
-    let cleaned = scanner::clean(diff_src);
-    let raw_lines: Vec<&str> = diff_src.lines().collect();
-    let mut policy = BTreeMap::new();
-    for (idx, line) in cleaned.iter().enumerate() {
-        if !line.code.contains("(\"_\", MetricPolicy::") {
-            continue;
-        }
-        let raw = raw_lines.get(idx).copied().unwrap_or("");
-        let Some(open) = raw.find("(\"") else { continue };
-        let rest = &raw[open + 2..];
-        let Some(len) = rest.find('"') else { continue };
-        policy.entry(rest[..len].to_string()).or_insert(idx + 1);
-    }
-    policy
 }
 
 #[cfg(test)]
@@ -546,14 +480,5 @@ mod tests {
         assert_eq!(metrics.get("exec.cells"), Some(&7));
         assert_eq!(spans.len(), 1);
         assert!(spans.contains_key("suggest"));
-    }
-
-    #[test]
-    fn policy_parser_reads_literal_names_not_comments() {
-        let src = "pub const METRIC_POLICY: &[(&str, MetricPolicy)] = &[\n    (\"exec.cells\", MetricPolicy::Exact),\n    // (\"old.metric\", MetricPolicy::Exact),\n    (\"mem.peak_bytes\", MetricPolicy::Noise),\n];\n";
-        let policy = parse_policy(src);
-        assert_eq!(policy.len(), 2, "{policy:?}");
-        assert_eq!(policy.get("exec.cells"), Some(&2));
-        assert!(!policy.contains_key("old.metric"));
     }
 }

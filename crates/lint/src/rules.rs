@@ -39,9 +39,8 @@
 //! laundering, R3 env reads, R4 thread-id, R5 unordered iteration of a
 //! returned hash collection), **C2** (inconsistent lock-acquisition
 //! order across the call graph), and **S** (telemetry schema drift
-//! between code, `docs/observability.md`, and the `dbtune-trace::diff`
-//! policy table: S1 undocumented emitter, S2 documented-but-dead name,
-//! S3 policy entry with no emitter).
+//! between code and `docs/observability.md`: S1 undocumented emitter,
+//! S2 documented-but-dead name).
 //!
 //! The scanner is a heuristic token pass, not a type checker: it tracks
 //! identifiers *textually bound* to hash collections (let bindings with
@@ -57,7 +56,7 @@ use crate::scanner::{self, is_ident_char};
 /// Every rule id the engine can emit (and `allow(..)` can name).
 pub const RULE_IDS: &[&str] = &[
     "D1", "D2", "D3", "F1", "E1", "E2", "E3", "M1", "R1", "R2", "R3", "R4", "R5", "C1", "C2", "S1",
-    "S2", "S3", "P1", "P2", "P3",
+    "S2", "P1", "P2", "P3",
 ];
 
 /// Where a file sits in the workspace, which decides rule applicability.
@@ -942,6 +941,20 @@ mod tests {
         let mixed =
             "fn f(x: Option<u32>) {\n    x.unwrap(); // lint: allow(E1, Z9) demo mixed\n}\n";
         assert_eq!(findings("crates/core/src/x.rs", mixed), vec![(2, "P3".into())]);
+    }
+
+    #[test]
+    fn retired_s3_pragma_surfaces_as_unknown_rule() {
+        // S3 (the old diff-policy table check) is no rule any more: a
+        // leftover `allow(S3)` is reported, not silently accepted.
+        assert!(!RULE_IDS.contains(&"S3"));
+        let path = "crates/core/src/x.rs";
+        let src = "fn f() {\n    let n = 1; // lint: allow(S3) exempt from baseline diffs\n}\n";
+        let (fs, _) = scan_source(path, classify(path), src);
+        let got: Vec<(usize, &str)> = fs.iter().map(|f| (f.line, f.rule.as_str())).collect();
+        assert_eq!(got, vec![(2, "P3")]);
+        assert!(fs[0].message.starts_with("allow() names unknown rule id(s) [\"S3\"]"));
+        assert_eq!(fs[0].message.matches("\"S3\"").count(), 1, "{}", fs[0].message);
     }
 
     #[test]

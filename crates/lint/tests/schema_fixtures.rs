@@ -1,6 +1,6 @@
 //! Exact-findings contract over `lint_fixtures/schema_workspace` — the
-//! corpus for the telemetry schema family (S): code ↔ docs ↔ diff-policy
-//! three-way agreement.
+//! corpus for the telemetry schema family (S): two-way code ↔ docs
+//! agreement.
 
 use dbtune_lint::walk;
 use std::path::{Path, PathBuf};
@@ -19,15 +19,11 @@ fn schema_corpus_exact_findings() {
     let got: Vec<(String, usize, String)> =
         report.findings.iter().map(|f| (f.path.clone(), f.line, f.rule.clone())).collect();
     let want: Vec<(String, usize, String)> = [
-        // An undocumented counter is both undocumented (S1) and missing
-        // from the diff policy (S3) — two findings, one line.
         ("crates/core/src/emit.rs", 14, "S1"),
-        ("crates/core/src/emit.rs", 14, "S3"),
         ("crates/core/src/emit.rs", 19, "S1"),
-        // Dead entries are reported where they live: the policy table
-        // row and the doc table rows (paths outside crates/*/src carry
-        // findings too — suppression simply never applies to them).
-        ("crates/trace/src/diff.rs", 13, "S3"),
+        // Dead entries are reported where they live: the doc table rows
+        // (paths outside crates/*/src carry findings too — suppression
+        // simply never applies to them).
         ("docs/observability.md", 12, "S2"),
         ("docs/observability.md", 20, "S2"),
     ]
@@ -42,7 +38,7 @@ fn schema_corpus_fails_the_gate_with_every_family_member() {
     let report = scan();
     assert!(!report.is_clean(), "the corpus must keep the gate red");
     let counts = report.counts();
-    for rule in ["S1", "S2", "S3"] {
+    for rule in ["S1", "S2"] {
         assert!(
             counts.get(rule).copied().unwrap_or(0) >= 1,
             "rule {rule} found nothing in its known-bad corpus: {counts:?}"
@@ -51,14 +47,14 @@ fn schema_corpus_fails_the_gate_with_every_family_member() {
 }
 
 #[test]
-fn schema_corpus_documented_and_policied_names_stay_silent() {
+fn schema_corpus_documented_names_stay_silent() {
     let report = scan();
-    // `app.requests`, `app.queue_depth`, and the `boot` span are in
-    // three-way agreement; none may appear in any finding.
+    // `app.requests`, `app.queue_depth`, and the `boot` span are
+    // documented and emitted; none may appear in any finding.
     for clean in ["app.requests", "app.queue_depth", "`boot`"] {
         assert!(
             report.findings.iter().all(|f| !f.message.contains(clean)),
-            "{clean} is fully documented and policied but was flagged:\n{}",
+            "{clean} is documented and emitted but was flagged:\n{}",
             report.human()
         );
     }

@@ -2,25 +2,34 @@
 //! regressions with a noise-aware wall-time threshold while holding
 //! deterministic quantities to exact equality.
 //!
-//! Two kinds of key, two rules:
+//! The diff policy is derived from each key's kind and name — there is
+//! no per-metric table to keep in step with the emitters:
 //!
-//! * **Deterministic counts** — counters (`exec.cache.hits`,
-//!   `sim.evals`, …), gauges, span counts, and cell counts are
-//!   byte-identical across runs of the same configuration (the PR 1–3
-//!   determinism contract). *Any* delta is flagged: it means the two
-//!   runs did different work, and no timing comparison is meaningful
-//!   until that is explained. The fault-injection counters
-//!   (`exec.retries`, `exec.retry_exhausted`, `exec.panics_contained`,
-//!   `sim.faults.*`) fall under this exact rule too: fault schedules are
-//!   pure functions of the plan seed, so a chaos run's retry count is as
-//!   deterministic as its eval count. Counters whose name ends in
-//!   `_nanos` or `_secs` (`exec.worker.busy_nanos`, …) accumulate wall
-//!   clock, not work, and are compared under the wall-time rule instead.
-//! * **Wall times** — compared on the min-of-N statistic (fastest of N
-//!   observations; the minimum of a deterministic code path estimates
-//!   its true cost, while means and maxima absorb scheduler noise) and
-//!   flagged only beyond a relative threshold *and* an absolute floor,
-//!   so nanosecond-scale spans cannot trip percentage alarms.
+//! * **Noise** (the threshold rule below): a counter whose name ends in
+//!   `_nanos` or `_secs` (`exec.worker.busy_nanos`, …) accumulates wall
+//!   clock, not work; a gauge whose name starts with `mem.`
+//!   (`mem.peak_bytes`, `mem.live_bytes`, `mem.allocs_per_eval`)
+//!   measures allocator state — peak depends on cross-thread overlap,
+//!   live on flush timing. Span minima and phase/matrix wall seconds are
+//!   noise as well.
+//! * **Exact**, everything else: every other counter (a `mem.` counter
+//!   such as `mem.alloc_count` counts work), every other gauge
+//!   (`exec.queue.depth`), span counts, span-attributed allocation
+//!   columns, and cell and diag-record counts. These are byte-identical
+//!   across runs of the same configuration (the executor's determinism
+//!   contract), so *any* delta is flagged: the two runs did different
+//!   work, and no timing comparison is meaningful until that is
+//!   explained. The fault-injection counters (`exec.retries`,
+//!   `exec.retry_exhausted`, `exec.panics_contained`, `sim.faults.*`)
+//!   fall under this rule too: fault schedules are pure functions of the
+//!   plan seed, so a chaos run's retry count is as deterministic as its
+//!   eval count.
+//!
+//! Noisy keys are compared on the min-of-N statistic (fastest of N
+//! observations; the minimum of a deterministic code path estimates its
+//! true cost, while means and maxima absorb scheduler noise) and flagged
+//! only beyond a relative threshold *and* an absolute floor, so
+//! nanosecond-scale spans cannot trip percentage alarms.
 
 use crate::summary::RunSummary;
 use std::collections::BTreeSet;
@@ -40,59 +49,6 @@ impl Default for DiffConfig {
     fn default() -> Self {
         Self { rel_threshold: 0.30, abs_floor_nanos: 5_000_000 }
     }
-}
-
-/// How a metric's cross-run delta is judged.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MetricPolicy {
-    /// Deterministic work count: any delta means the runs did different
-    /// work, and is flagged.
-    Exact,
-    /// Noisy measurement (wall-time accumulator, allocator state):
-    /// compared under the threshold rule.
-    Noise,
-}
-
-/// The workspace metric schema: every counter and gauge the tree emits,
-/// with the diff rule it is held to. Names not listed here fall back to
-/// the naming-convention heuristics below (`_nanos`/`_secs` counters and
-/// `mem.` gauges are noisy), so the table is an explicit pin, not a new
-/// behavior — entry assignments match what the heuristics decide.
-///
-/// Keep one entry per line: the `dbtune-lint` schema pass (rule family
-/// S) parses this table textually and cross-checks it against the
-/// emitters in code and the tables in `docs/observability.md`.
-pub const METRIC_POLICY: &[(&str, MetricPolicy)] = &[
-    ("exec.cache.entries", MetricPolicy::Exact),
-    ("exec.cache.hits", MetricPolicy::Exact),
-    ("exec.cache.misses", MetricPolicy::Exact),
-    ("exec.cells", MetricPolicy::Exact),
-    ("exec.panics_contained", MetricPolicy::Exact),
-    ("exec.queue.depth", MetricPolicy::Exact),
-    ("exec.retries", MetricPolicy::Exact),
-    ("exec.retry_exhausted", MetricPolicy::Exact),
-    ("exec.worker.busy_nanos", MetricPolicy::Noise),
-    ("exec.worker.idle_nanos", MetricPolicy::Noise),
-    ("exec.worker.steal_nanos", MetricPolicy::Noise),
-    ("mem.acq.alloc_bytes", MetricPolicy::Exact),
-    ("mem.alloc_bytes", MetricPolicy::Exact),
-    ("mem.alloc_count", MetricPolicy::Exact),
-    ("mem.allocs_per_eval", MetricPolicy::Noise),
-    ("mem.fit.alloc_bytes", MetricPolicy::Exact),
-    ("mem.live_bytes", MetricPolicy::Noise),
-    ("mem.peak_bytes", MetricPolicy::Noise),
-    ("sim.crashes", MetricPolicy::Exact),
-    ("sim.evals", MetricPolicy::Exact),
-    ("sim.faults.crash", MetricPolicy::Exact),
-    ("sim.faults.noise", MetricPolicy::Exact),
-    ("sim.faults.stall", MetricPolicy::Exact),
-    ("sim.faults.timeout", MetricPolicy::Exact),
-    ("tuner.quarantine.rejections", MetricPolicy::Exact),
-];
-
-/// Looks a metric name up in [`METRIC_POLICY`].
-pub fn policy_for(key: &str) -> Option<MetricPolicy> {
-    METRIC_POLICY.iter().find(|(k, _)| *k == key).map(|&(_, p)| p)
 }
 
 /// What a diff entry compares.
@@ -196,16 +152,9 @@ pub fn diff_summaries(base: &RunSummary, cur: &RunSummary, cfg: &DiffConfig) -> 
     for key in union_keys(&base.counters, &cur.counters) {
         let (b, c) =
             (base.counters.get(key).map(|&v| v as f64), cur.counters.get(key).map(|&v| v as f64));
-        // Counters that accumulate wall clock (`exec.worker.busy_nanos`
-        // and friends) are measurements, not counts — they get the
-        // noise rule. Everything else counts work and must be exact.
-        // Known names resolve through METRIC_POLICY; unknown names fall
-        // back to the `_nanos`/`_secs` naming convention.
-        let noisy = match policy_for(key) {
-            Some(p) => p == MetricPolicy::Noise,
-            None => key.ends_with("_nanos") || key.ends_with("_secs"),
-        };
-        if noisy {
+        // The diff policy (module doc): wall-clock accumulators are
+        // noise, every other counter is an exact work count.
+        if key.ends_with("_nanos") || key.ends_with("_secs") {
             out.push(wall_entry(format!("counter:{key}"), b, c, cfg));
         } else {
             out.push(exact_entry(format!("counter:{key}"), b, c));
@@ -214,17 +163,8 @@ pub fn diff_summaries(base: &RunSummary, cur: &RunSummary, cfg: &DiffConfig) -> 
     for key in union_keys(&base.gauges, &cur.gauges) {
         let (b, c) =
             (base.gauges.get(key).map(|&v| v as f64), cur.gauges.get(key).map(|&v| v as f64));
-        // Memory gauges (`mem.peak_bytes`, `mem.live_bytes`,
-        // `mem.allocs_per_eval`) are measurements of allocator state,
-        // not work counts: peak depends on cross-thread overlap and
-        // live on flush timing, so they get the threshold rule. Known
-        // names resolve through METRIC_POLICY; unknown names fall back
-        // to the `mem.` prefix convention.
-        let noisy = match policy_for(key) {
-            Some(p) => p == MetricPolicy::Noise,
-            None => key.starts_with("mem."),
-        };
-        if noisy {
+        // Allocator-state gauges are noise, every other gauge is exact.
+        if key.starts_with("mem.") {
             let unit = if key.contains("bytes") { "bytes" } else { "allocs" };
             out.push(noisy_entry(format!("gauge:{key}"), b, c, cfg, unit));
         } else {
@@ -391,29 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn metric_policy_table_pins_the_naming_conventions() {
-        // The table is an explicit pin of the heuristics, not an
-        // override: a Noise entry must be a wall-time accumulator or an
-        // allocator-state gauge by name, and vice versa — so adding a
-        // mis-filed entry (or renaming a metric out of its convention)
-        // fails here instead of silently changing diff behavior.
-        for (key, policy) in METRIC_POLICY {
-            let counter_noise = key.ends_with("_nanos") || key.ends_with("_secs");
-            let gauge_noise = key.starts_with("mem.") && !key.contains("alloc_");
-            let expect = if counter_noise || gauge_noise {
-                MetricPolicy::Noise
-            } else {
-                MetricPolicy::Exact
-            };
-            assert_eq!(*policy, expect, "policy for {key} contradicts its naming convention");
-        }
-        assert_eq!(policy_for("sim.evals"), Some(MetricPolicy::Exact));
-        assert_eq!(policy_for("exec.worker.busy_nanos"), Some(MetricPolicy::Noise));
-        assert_eq!(policy_for("mem.peak_bytes"), Some(MetricPolicy::Noise));
-        assert_eq!(policy_for("no.such.metric"), None);
-    }
-
-    #[test]
     fn identical_runs_produce_zero_flags() {
         let a = summary(100, 50_000_000, 10);
         let entries = diff_summaries(&a, &a.clone(), &DiffConfig::default());
@@ -447,13 +364,54 @@ mod tests {
 
     #[test]
     fn any_counter_delta_is_flagged_exactly() {
-        let a = summary(100, 50_000_000, 10);
-        let b = summary(101, 50_000_000, 10);
+        let mut a = summary(100, 50_000_000, 10);
+        let mut b = summary(101, 50_000_000, 10);
+        // The `mem.` prefix makes only a *gauge* noisy: an allocation
+        // counter counts work and is exact like any other counter.
+        a.counters.insert("mem.alloc_count".into(), 3179);
+        b.counters.insert("mem.alloc_count".into(), 3180);
         let entries = diff_summaries(&a, &b, &DiffConfig::default());
-        let counter =
-            entries.iter().find(|e| e.key == "counter:sim.evals").expect("evals counter in diff");
-        assert!(counter.flagged, "one extra eval must flag: deterministic");
-        assert_eq!(counter.kind, DiffKind::Count);
+        for key in ["counter:sim.evals", "counter:mem.alloc_count"] {
+            let counter = entries.iter().find(|e| e.key == key).expect("counter in diff");
+            assert!(counter.flagged, "a one-off delta on {key} must flag: deterministic");
+            assert_eq!(counter.kind, DiffKind::Count, "{key} must use the exact-equality rule");
+        }
+    }
+
+    #[test]
+    fn noise_rule_reads_a_counter_suffix_and_a_gauge_prefix_only() {
+        // The naming rule is anchored: `_nanos`/`_secs` must end a
+        // counter's name and `mem.` must start a gauge's. A name that
+        // merely contains the marker elsewhere is an exact work count.
+        let (mut a, mut b) = (RunSummary::default(), RunSummary::default());
+        for (key, base, cur) in [
+            ("exec.worker.busy_nanos", 50_000_000, 51_000_000),
+            ("tuner.fit_secs", 40, 41),
+            ("exec.nanos_seen", 10, 11),
+            ("sim.secs_rounds", 10, 11),
+        ] {
+            a.counters.insert(key.into(), base);
+            b.counters.insert(key.into(), cur);
+        }
+        for (key, base, cur) in
+            [("mem.live_bytes", 100_000_000, 101_000_000), ("exec.mem.peak_bytes", 100, 101)]
+        {
+            a.gauges.insert(key.into(), base);
+            b.gauges.insert(key.into(), cur);
+        }
+        let entries = diff_summaries(&a, &b, &DiffConfig::default());
+        let rule = |key: &str| {
+            let e = entries.iter().find(|e| e.key == key).expect("key in diff");
+            (e.kind, e.flagged)
+        };
+        // Noise: small drifts stay under the threshold rule.
+        assert_eq!(rule("counter:exec.worker.busy_nanos"), (DiffKind::WallTime, false));
+        assert_eq!(rule("counter:tuner.fit_secs"), (DiffKind::WallTime, false));
+        assert_eq!(rule("gauge:mem.live_bytes"), (DiffKind::WallTime, false));
+        // Exact: the same one-off delta flags.
+        assert_eq!(rule("counter:exec.nanos_seen"), (DiffKind::Count, true));
+        assert_eq!(rule("counter:sim.secs_rounds"), (DiffKind::Count, true));
+        assert_eq!(rule("gauge:exec.mem.peak_bytes"), (DiffKind::Count, true));
     }
 
     #[test]
@@ -624,7 +582,17 @@ mod tests {
         );
         a.gauges.insert("mem.peak_bytes".into(), 100_000_000);
         b.gauges.insert("mem.peak_bytes".into(), 110_000_000); // 10%: noise
+
+        // A gauge outside `mem.` is a deterministic quantity: exact.
+        a.gauges.insert("exec.queue.depth".into(), 4);
+        b.gauges.insert("exec.queue.depth".into(), 5);
         let entries = diff_summaries(&a, &b, &DiffConfig::default());
+        let depth = entries
+            .iter()
+            .find(|e| e.key == "gauge:exec.queue.depth")
+            .expect("queue depth entry in diff");
+        assert_eq!(depth.kind, DiffKind::Count, "non-mem gauges use the exact rule");
+        assert!(depth.flagged, "{depth:?}");
         let allocs = entries
             .iter()
             .find(|e| e.key == "mem.allocs:surrogate_fit")

@@ -18,6 +18,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 
+use dbtune::core::exec::CachedObjective;
 use dbtune::core::repository::Repository;
 use dbtune::core::sampling;
 use dbtune::core::service::{TuningRequest, TuningService};
@@ -453,22 +454,24 @@ fn cmd_benchmark(args: &Args) -> Result<(), String> {
 
     eprintln!("collecting {samples} offline samples on {}…", workload.name());
     let ds = collect_samples(&mut sim, &space, samples, seed);
-    let mut bench = SurrogateBenchmark::train(space.clone(), sim.objective(), &ds, seed);
+    let bench = SurrogateBenchmark::train(space.clone(), sim.objective(), &ds, seed);
 
     let optimizer = args.optimizer()?;
     let cfg = args.session_config()?;
+    let t0 = std::time::Instant::now(); // lint: allow(D2) end-to-end speedup report — timing is the deliverable
     let mut opt = optimizer.build(space.space(), METRICS_DIM, cfg.seed);
-    let result = run_session(&mut bench, &space, &mut *opt, &cfg);
+    let mut obj = CachedObjective::new(&bench, None, seed);
+    let result = run_session(&mut obj, &space, &mut *opt, &cfg);
+    let report = SpeedupReport::new(obj.n_evals(), t0.elapsed().as_secs_f64());
     println!(
         "{} on the surrogate: {:+.1}% improvement over default",
         optimizer.label(),
         result.best_improvement() * 100.0
     );
-    let report = bench.speedup_report();
     println!(
-        "{} surrogate evaluations in {:.3}s; workload replay would have taken {:.1} h -> {:.0}x speedup",
+        "{} surrogate evaluations in {:.3}s end to end; workload replay would have taken {:.1} h -> {:.0}x speedup",
         report.n_evals,
-        report.surrogate_secs,
+        report.wall_secs,
         report.replay_secs / 3600.0,
         report.speedup,
     );
