@@ -20,11 +20,11 @@
 //! fan out over the executor as a (variant × seed) grid.
 
 use dbtune_bench::{
-    full_pool, pct, print_exec_summary, print_table, save_json_with_exec, top_k_knobs, ExpArgs,
+    catalog_space, full_pool, pct, print_exec_summary, print_table, save_json_with_exec, ExpArgs,
     GridOpts,
 };
 use dbtune_core::exec::{run_grid, CachedObjective, EvalCache};
-use dbtune_core::importance::MeasureKind;
+use dbtune_core::importance::{top_k, MeasureKind};
 use dbtune_core::optimizer::{
     BoKind, BoOptimizer, Optimizer, Smac, SmacParams, Turbo, TurboParams,
 };
@@ -78,13 +78,13 @@ fn main() {
 
     let catalog: KnobCatalog = KnobCatalog::mysql57();
     let pool = full_pool(Workload::Sysbench, samples, 7);
-    let top20 = top_k_knobs(MeasureKind::Shap, &catalog, &pool, 20, 11);
+    let top20 = top_k(&MeasureKind::Shap.scores(&catalog_space(), &pool, 11), 20);
     let sys_space = TuningSpace::with_default_base(&catalog, top20.clone(), Hardware::B);
 
     // ---- Pre-steps shared by the ablation groups -------------------------
     // 2. categorical encoding: a heterogeneous JOB space.
     let job_pool = full_pool(Workload::Job, samples, 7);
-    let job_scores = dbtune_bench::importance_scores(MeasureKind::Shap, &catalog, &job_pool, 11);
+    let job_scores = MeasureKind::Shap.scores(&catalog_space(), &job_pool, 11);
     let mut cats: Vec<usize> = catalog.categorical_indices();
     cats.sort_by(|&a, &b| dbtune_core::ord::cmp_score_desc(&job_scores[a], &job_scores[b]));
     cats.truncate(5);
@@ -116,12 +116,7 @@ fn main() {
         &mut src_opt,
         &SessionConfig { iterations: 60, lhs_init: 10, seed: 77, ..Default::default() },
     );
-    let dissimilar = SourceTask {
-        name: "JOB".into(),
-        x: src_run.observations.iter().map(|o| o.config.clone()).collect(),
-        y: src_run.observations.iter().map(|o| o.score).collect(),
-        metrics: src_run.observations.iter().map(|o| o.metrics.clone()).collect(),
-    };
+    let dissimilar = SourceTask::from_session("JOB", &src_run);
 
     // ---- The ablation grid: (variant × seed) ------------------------------
     enum Kind {

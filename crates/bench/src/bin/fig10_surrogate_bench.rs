@@ -18,13 +18,13 @@
 //! clock rather than from mutable per-benchmark accounting.
 
 use dbtune_bench::{
-    full_pool, pct, print_exec_summary, print_table, save_json_with_exec, top_k_knobs, ExpArgs,
+    catalog_space, full_pool, pct, print_exec_summary, print_table, save_json_with_exec, ExpArgs,
     GridOpts,
 };
-use dbtune_benchmark::collect::{collect_samples, Dataset};
+use dbtune_benchmark::collect::collect_samples;
 use dbtune_benchmark::objective::{SpeedupReport, SurrogateBenchmark};
 use dbtune_core::exec::{run_grid, CachedObjective};
-use dbtune_core::importance::MeasureKind;
+use dbtune_core::importance::{top_k, MeasureKind};
 use dbtune_core::optimizer::OptimizerKind;
 use dbtune_core::space::TuningSpace;
 use dbtune_core::tuner::{run_session, SessionConfig};
@@ -48,12 +48,12 @@ fn main() {
 
     let catalog = DbSimulator::new(Workload::Sysbench, Hardware::B, 0).catalog().clone();
     let pool = full_pool(Workload::Sysbench, samples, 7);
-    let selected = top_k_knobs(MeasureKind::Shap, &catalog, &pool, 20, 11);
+    let selected = top_k(&MeasureKind::Shap.scores(&catalog_space(), &pool, 11), 20);
     let space = TuningSpace::with_default_base(&catalog, selected, Hardware::B);
 
     // Offline collection (LHS + optimizer-driven) and surrogate training.
     let mut sim = DbSimulator::new(Workload::Sysbench, Hardware::B, 70);
-    let ds: Dataset = collect_samples(&mut sim, &space, samples, 8);
+    let ds = collect_samples(&mut sim, &space, samples, 8);
     let bench = SurrogateBenchmark::train(space.clone(), Objective::Throughput, &ds, 1);
     println!(
         "offline collection: {} evaluations = {:.1} simulated hours of workload replay",

@@ -17,10 +17,10 @@
 //! evaluations.
 
 use dbtune_bench::{
-    full_pool, pct, print_exec_summary, print_table, run_tuning_grid, save_json_with_exec,
-    top_k_knobs, ExpArgs, GridOpts, TuningCell,
+    catalog_space, full_pool, pct, print_exec_summary, print_table, run_tuning_grid,
+    save_json_with_exec, ExpArgs, GridOpts, TuningCell,
 };
-use dbtune_core::importance::MeasureKind;
+use dbtune_core::importance::{top_k, MeasureKind};
 use dbtune_core::optimizer::OptimizerKind;
 use dbtune_dbsim::{DbSimulator, Hardware, Workload};
 use dbtune_linalg::stats::average_rank;
@@ -53,11 +53,13 @@ fn main() {
     // innermost so each scenario's repeats are consecutive.
     let mut grid: Vec<TuningCell> = Vec::new();
     let mut scenarios: Vec<(Workload, MeasureKind, usize, OptimizerKind)> = Vec::new();
+    let space = catalog_space();
     for &wl in &workloads {
         let pool = full_pool(wl, samples, 7);
         for &measure in &MeasureKind::ALL {
+            let scores = measure.scores(&space, &pool, 11);
             for &k in &[5usize, 20] {
-                let selected = top_k_knobs(measure, &catalog, &pool, k, 11);
+                let selected = top_k(&scores, k);
                 eprintln!(
                     "[{} {} top-{}] knobs: {:?}",
                     wl.name(),

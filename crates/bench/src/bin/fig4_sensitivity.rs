@@ -17,11 +17,12 @@
 //! here (the pool is precomputed), so the evaluation cache is unused.
 
 use dbtune_bench::{
-    full_pool, importance_scores, print_exec_summary, print_table, save_json_with_exec, ExpArgs,
-    GridOpts, Pool,
+    catalog_space, full_pool, print_exec_summary, print_table, save_json_with_exec, ExpArgs,
+    GridOpts,
 };
 use dbtune_core::exec::{cell_seed, run_grid};
-use dbtune_core::importance::{top_k, ImportanceInput, MeasureKind};
+use dbtune_core::importance::{top_k, MeasureKind};
+use dbtune_core::transfer::SourceTask;
 use dbtune_dbsim::{DbSimulator, Hardware, KnobCatalog, Workload};
 use dbtune_linalg::stats::{intersection_over_union, r_squared};
 use dbtune_ml::{LassoRegression, RandomForest, RandomForestParams, Regressor};
@@ -42,7 +43,7 @@ struct Point {
 fn surrogate_r2(
     kind: MeasureKind,
     catalog: &KnobCatalog,
-    pool: &Pool,
+    pool: &SourceTask,
     train: &[usize],
     test: &[usize],
     seed: u64,
@@ -96,12 +97,11 @@ fn main() {
 
     let catalog = DbSimulator::new(Workload::Sysbench, Hardware::B, 0).catalog().clone();
     let pool = full_pool(Workload::Sysbench, samples, 7);
+    let space = catalog_space();
 
     // Baseline top-5 sets from the full pool.
-    let baselines: Vec<(MeasureKind, Vec<usize>)> = MeasureKind::ALL
-        .iter()
-        .map(|&m| (m, top_k(&importance_scores(m, &catalog, &pool, 11), 5)))
-        .collect();
+    let baselines: Vec<(MeasureKind, Vec<usize>)> =
+        MeasureKind::ALL.iter().map(|&m| (m, top_k(&m.scores(&space, &pool, 11), 5))).collect();
 
     let fractions = [0.1, 0.2, 0.4, 0.6, 0.8];
     let opts = GridOpts::from_args("fig4_sensitivity", &args, 5);
@@ -132,21 +132,12 @@ fn main() {
         let mut idx: Vec<usize> = (0..samples).collect();
         idx.shuffle(&mut rng);
         let (train, test) = idx.split_at(cell.n_sub);
-        let sub = Pool {
-            workload: pool.workload.clone(),
+        let sub = SourceTask {
             x: train.iter().map(|&i| pool.x[i].clone()).collect(),
             y: train.iter().map(|&i| pool.y[i]).collect(),
-            metrics: Vec::new(),
-            default_cfg: pool.default_cfg.clone(),
+            ..Default::default()
         };
-        let m = cell.measure.build();
-        let scores = m.scores(&ImportanceInput {
-            specs: catalog.specs(),
-            default: &sub.default_cfg,
-            x: &sub.x,
-            y: &sub.y,
-            seed: cell.rep as u64,
-        });
+        let scores = cell.measure.scores(&space, &sub, cell.rep as u64);
         let similarity = intersection_over_union(&top_k(&scores, 5), &cell.baseline);
         let test_cap = &test[..test.len().min(300)];
         let r2 = surrogate_r2(cell.measure, &catalog, &pool, train, test_cap, cell.rep as u64);

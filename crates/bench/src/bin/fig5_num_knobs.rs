@@ -14,12 +14,12 @@
 //! shared cache deduplicates.
 
 use dbtune_bench::{
-    full_pool, pct, print_exec_summary, print_table, run_tuning_grid, save_json_with_exec,
-    top_k_knobs, ExpArgs, GridOpts, TuningCell,
+    catalog_space, full_pool, pct, print_exec_summary, print_table, run_tuning_grid,
+    save_json_with_exec, ExpArgs, GridOpts, TuningCell,
 };
-use dbtune_core::importance::MeasureKind;
+use dbtune_core::importance::{top_k, MeasureKind};
 use dbtune_core::optimizer::OptimizerKind;
-use dbtune_dbsim::{DbSimulator, Hardware, Workload};
+use dbtune_dbsim::Workload;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -37,7 +37,6 @@ fn main() {
     let iters = args.get_usize("iters", 240);
     let seeds = args.get_usize("seeds", 1);
 
-    let catalog = DbSimulator::new(Workload::Job, Hardware::B, 0).catalog().clone();
     let knob_counts = [5usize, 10, 20, 40, 80, 197];
 
     let opts = GridOpts::from_args("fig5_num_knobs", &args, 500);
@@ -46,7 +45,7 @@ fn main() {
     let mut scenarios: Vec<(Workload, usize)> = Vec::new();
     for &wl in &[Workload::Job, Workload::Sysbench] {
         let pool = full_pool(wl, samples, 7);
-        let full_rank = top_k_knobs(MeasureKind::Shap, &catalog, &pool, 197, 11);
+        let full_rank = top_k(&MeasureKind::Shap.scores(&catalog_space(), &pool, 11), 197);
         for &k in &knob_counts {
             scenarios.push((wl, k));
             for s in 0..seeds {

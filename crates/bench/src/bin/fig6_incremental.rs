@@ -13,11 +13,11 @@
 //! search prefixes of the same SHAP ranking).
 
 use dbtune_bench::{
-    full_pool, pct, print_exec_summary, print_table, save_json_with_exec, top_k_knobs, ExpArgs,
+    catalog_space, full_pool, pct, print_exec_summary, print_table, save_json_with_exec, ExpArgs,
     GridOpts,
 };
 use dbtune_core::exec::{run_grid, CachedObjective};
-use dbtune_core::importance::MeasureKind;
+use dbtune_core::importance::{top_k, MeasureKind};
 use dbtune_core::incremental::{run_incremental_session, IncrementalStrategy};
 use dbtune_core::optimizer::{BoKind, BoOptimizer, Optimizer};
 use dbtune_core::space::ConfigSpace;
@@ -77,7 +77,7 @@ fn main() {
     let mut scenarios: Vec<(Workload, &str)> = Vec::new();
     for &wl in &[Workload::Job, Workload::Sysbench] {
         let pool = full_pool(wl, samples, 7);
-        let ranked = top_k_knobs(MeasureKind::Shap, &catalog, &pool, 40, 11);
+        let ranked = top_k(&MeasureKind::Shap.scores(&catalog_space(), &pool, 11), 40);
         for &(label, strategy) in &strategies {
             scenarios.push((wl, label));
             for s in 0..seeds {

@@ -16,12 +16,12 @@
 //! optimizers of one scenario share.
 
 use dbtune_bench::{
-    full_pool, pct, print_exec_summary, print_table, run_tuning_grid, save_json_with_exec,
-    top_k_knobs, ExpArgs, GridOpts, TuningCell,
+    catalog_space, full_pool, pct, print_exec_summary, print_table, run_tuning_grid,
+    save_json_with_exec, ExpArgs, GridOpts, TuningCell,
 };
-use dbtune_core::importance::MeasureKind;
+use dbtune_core::importance::{top_k, MeasureKind};
 use dbtune_core::optimizer::OptimizerKind;
-use dbtune_dbsim::{DbSimulator, Hardware, Workload};
+use dbtune_dbsim::Workload;
 use dbtune_linalg::stats::average_rank;
 use serde::Serialize;
 
@@ -43,7 +43,6 @@ fn main() {
 
     let opts = GridOpts::from_args("fig7_optimizers", &args, 700);
 
-    let catalog = DbSimulator::new(Workload::Job, Hardware::B, 0).catalog().clone();
     let sizes: [(&str, usize); 3] = [("small", 5), ("medium", 20), ("large", 197)];
 
     // Grid: (workload × space × optimizer × seed), seed-major innermost so
@@ -52,7 +51,7 @@ fn main() {
     let mut scenarios: Vec<(Workload, &str, OptimizerKind)> = Vec::new();
     for &wl in &[Workload::Job, Workload::Sysbench] {
         let pool = full_pool(wl, samples, 7);
-        let ranked = top_k_knobs(MeasureKind::Shap, &catalog, &pool, 197, 11);
+        let ranked = top_k(&MeasureKind::Shap.scores(&catalog_space(), &pool, 11), 197);
         for &(space_label, k) in &sizes {
             let selected = ranked[..k].to_vec();
             for &opt in &OptimizerKind::PAPER {

@@ -15,7 +15,7 @@
 //! optimizers on one space share their LHS warm-up via the cache.
 
 use dbtune_bench::{
-    full_pool, importance_scores, pct, print_exec_summary, print_table, run_tuning_grid,
+    catalog_space, full_pool, pct, print_exec_summary, print_table, run_tuning_grid,
     save_json_with_exec, ExpArgs, GridOpts, TuningCell,
 };
 use dbtune_core::importance::MeasureKind;
@@ -40,7 +40,7 @@ fn main() {
 
     let catalog = DbSimulator::new(Workload::Job, Hardware::B, 0).catalog().clone();
     let pool = full_pool(Workload::Job, samples, 7);
-    let scores = importance_scores(MeasureKind::Shap, &catalog, &pool, 11);
+    let scores = MeasureKind::Shap.scores(&catalog_space(), &pool, 11);
 
     // Ranked indices restricted to a knob class.
     let ranked_where = |pred: &dyn Fn(usize) -> bool, k: usize| -> Vec<usize> {

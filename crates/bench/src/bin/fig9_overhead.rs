@@ -15,12 +15,12 @@
 //! `"driver"`, where non-reproducible numbers belong.
 
 use dbtune_bench::{
-    full_pool, print_exec_summary, print_table, run_tuning_grid, save_json_with_telemetry,
-    top_k_knobs, ExpArgs, GridOpts, TuningCell,
+    catalog_space, full_pool, print_exec_summary, print_table, run_tuning_grid,
+    save_json_with_telemetry, ExpArgs, GridOpts, TuningCell,
 };
-use dbtune_core::importance::MeasureKind;
+use dbtune_core::importance::{top_k, MeasureKind};
 use dbtune_core::optimizer::OptimizerKind;
-use dbtune_dbsim::{DbSimulator, Hardware, Workload};
+use dbtune_dbsim::Workload;
 use serde::{Number, Serialize, Value};
 
 /// Deterministic per-optimizer summary: byte-identical across runs,
@@ -65,9 +65,8 @@ fn main() {
     let samples = args.get_usize("samples", 6250);
     let iters = args.get_usize("iters", 400);
 
-    let catalog = DbSimulator::new(Workload::Job, Hardware::B, 0).catalog().clone();
     let pool = full_pool(Workload::Job, samples, 7);
-    let selected = top_k_knobs(MeasureKind::Shap, &catalog, &pool, 20, 11);
+    let selected = top_k(&MeasureKind::Shap.scores(&catalog_space(), &pool, 11), 20);
 
     let opts = GridOpts::from_args("fig9_overhead", &args, 900);
     let grid: Vec<TuningCell> = OptimizerKind::PAPER

@@ -25,8 +25,8 @@
 //! sharing cached evaluations.
 
 use dbtune_bench::{
-    full_pool, importance_scores, pct, print_exec_summary, print_table, save_json_with_exec,
-    ExpArgs, GridOpts,
+    catalog_space, full_pool, pct, print_exec_summary, print_table, save_json_with_exec, ExpArgs,
+    GridOpts,
 };
 use dbtune_core::exec::{run_grid, CachedObjective, EvalCache};
 use dbtune_core::importance::{top_k, MeasureKind};
@@ -89,7 +89,7 @@ fn main() {
     let mut agg = vec![0.0f64; catalog.len()];
     for &src in &sources {
         let pool = full_pool(src, samples, 7);
-        let scores = importance_scores(MeasureKind::Shap, &catalog, &pool, 11);
+        let scores = MeasureKind::Shap.scores(&catalog_space(), &pool, 11);
         let max = scores.iter().cloned().fold(f64::MIN, f64::max).max(1e-12);
         for (a, s) in agg.iter_mut().zip(&scores) {
             *a += s / max;
@@ -121,12 +121,7 @@ fn main() {
             opts.noise_seed,
         );
         eprintln!("[pretrain {}] best improvement {}", src.name(), pct(r.best_improvement()));
-        source_tasks.push(SourceTask {
-            name: src.name().to_string(),
-            x: r.observations.iter().map(|o| o.config.clone()).collect(),
-            y: r.observations.iter().map(|o| o.score).collect(),
-            metrics: r.observations.iter().map(|o| o.metrics.clone()).collect(),
-        });
+        source_tasks.push(SourceTask::from_session(src.name(), &r));
     }
     let weights = agent.export_weights();
 

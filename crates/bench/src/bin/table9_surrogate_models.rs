@@ -12,12 +12,13 @@
 //! differ, so the shared cache records misses only.
 
 use dbtune_bench::{
-    full_pool, print_exec_summary, print_table, save_json_with_exec, top_k_knobs, ExpArgs, GridOpts,
+    catalog_space, full_pool, print_exec_summary, print_table, save_json_with_exec, ExpArgs,
+    GridOpts,
 };
 use dbtune_benchmark::collect::collect_samples;
 use dbtune_benchmark::surrogate::evaluate_zoo;
 use dbtune_core::exec::run_grid;
-use dbtune_core::importance::MeasureKind;
+use dbtune_core::importance::{top_k, MeasureKind};
 use dbtune_core::space::TuningSpace;
 use dbtune_dbsim::{DbSimulator, Hardware, Workload};
 use serde::Serialize;
@@ -47,7 +48,7 @@ fn main() {
     let pools: Vec<_> = scenarios.iter().map(|&(wl, _)| full_pool(wl, samples, 7)).collect();
 
     let per_scenario = run_grid(&scenarios, opts.workers, |i, &(wl, k)| {
-        let selected = top_k_knobs(MeasureKind::Shap, &catalog, &pools[i], k, 11);
+        let selected = top_k(&MeasureKind::Shap.scores(&catalog_space(), &pools[i], 11), k);
         let space = TuningSpace::with_default_base(&catalog, selected, Hardware::B);
         // Per-space collection, as in the paper: the unselected knobs stay
         // at their defaults while LHS + optimizer-driven sampling covers

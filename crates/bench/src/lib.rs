@@ -12,16 +12,16 @@ pub mod quality;
 use dbtune_core::exec::{
     cell_seed, resolve_workers, run_grid, CacheStats, CachedObjective, EvalCache, RetryPolicy,
 };
-use dbtune_core::importance::{ImportanceInput, MeasureKind};
+use dbtune_core::importance::collect_pool;
 use dbtune_core::optimizer::OptimizerKind;
-use dbtune_core::sampling;
 use dbtune_core::space::TuningSpace;
 use dbtune_core::telemetry::{self, TraceEvent};
-use dbtune_core::tuner::{pool_score, run_session, SessionConfig, SessionResult, SimObjective};
+use dbtune_core::transfer::SourceTask;
+use dbtune_core::tuner::{run_session, SessionConfig, SessionResult};
 use dbtune_dbsim::{DbSimulator, FaultPlan, Hardware, KnobCatalog, Workload, METRICS_DIM};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -497,25 +497,16 @@ pub fn save_json_with_telemetry<T: Serialize>(
     save_json(name, &wrapped);
 }
 
-/// An LHS observation pool over the full 197-knob catalog for one
-/// workload: configurations, maximize-oriented scores, and metric vectors.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Pool {
-    /// Workload name (for cache-file identification).
-    pub workload: String,
-    /// Full-catalog raw configurations.
-    pub x: Vec<Vec<f64>>,
-    /// Maximize-oriented scores (failures mapped to worst seen).
-    pub y: Vec<f64>,
-    /// Internal-metric vectors per observation.
-    pub metrics: Vec<Vec<f64>>,
-    /// The hardware-adjusted default configuration.
-    pub default_cfg: Vec<f64>,
+/// The full 197-knob catalog as a tuning space on instance B's defaults:
+/// the space [`full_pool`] samples and the drivers rank knobs over.
+pub fn catalog_space() -> TuningSpace {
+    let catalog = KnobCatalog::mysql57();
+    TuningSpace::with_default_base(&catalog, (0..catalog.len()).collect(), Hardware::B)
 }
 
 /// Collects (or loads from `results/`) an LHS pool of `n` observations of
-/// `workload` on instance B — the §5.1 sample-collection step.
-pub fn full_pool(workload: Workload, n: usize, seed: u64) -> Pool {
+/// `workload` over [`catalog_space`] — the §5.1 sample-collection step.
+pub fn full_pool(workload: Workload, n: usize, seed: u64) -> SourceTask {
     let cache = results_dir().join(format!(
         "pool_{}_{}_{}.json",
         workload.name().replace('-', ""),
@@ -523,7 +514,7 @@ pub fn full_pool(workload: Workload, n: usize, seed: u64) -> Pool {
         seed
     ));
     if let Ok(file) = std::fs::File::open(&cache) {
-        if let Ok(pool) = serde_json::from_reader::<_, Pool>(std::io::BufReader::new(file)) {
+        if let Ok(pool) = serde_json::from_reader::<_, SourceTask>(std::io::BufReader::new(file)) {
             if pool.x.len() == n {
                 println!("[pool cache hit: {}]", cache.display());
                 return pool;
@@ -532,60 +523,15 @@ pub fn full_pool(workload: Workload, n: usize, seed: u64) -> Pool {
     }
 
     let mut sim = DbSimulator::new(workload, Hardware::B, seed);
-    let catalog = sim.catalog().clone();
-    let default_cfg = catalog.default_config(Hardware::B);
-    let all: Vec<usize> = (0..catalog.len()).collect();
-    let space = TuningSpace::new(&catalog, all, default_cfg.clone());
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9001);
-
-    let mut pool = Pool {
-        workload: workload.name().to_string(),
-        x: Vec::with_capacity(n),
-        y: Vec::with_capacity(n),
-        metrics: Vec::with_capacity(n),
-        default_cfg,
-    };
-    let mut worst = f64::INFINITY;
-    for cfg in sampling::lhs(space.space(), n, &mut rng) {
-        let res = SimObjective::evaluate(&mut sim, &cfg);
-        pool.y.push(pool_score(&sim, space.base(), &res, &mut worst));
-        pool.x.push(cfg);
-        pool.metrics.push(res.metrics);
-    }
+    let mut pool = collect_pool(&mut sim, &catalog_space(), n, &mut rng);
+    pool.name = workload.name().to_string();
 
     if let Ok(file) = std::fs::File::create(&cache) {
         let _ = serde_json::to_writer(std::io::BufWriter::new(file), &pool);
         println!("[pool cached: {}]", cache.display());
     }
     pool
-}
-
-/// Runs one importance measurement over a pool, returning per-knob scores.
-pub fn importance_scores(
-    kind: MeasureKind,
-    catalog: &KnobCatalog,
-    pool: &Pool,
-    seed: u64,
-) -> Vec<f64> {
-    let measure = kind.build();
-    measure.scores(&ImportanceInput {
-        specs: catalog.specs(),
-        default: &pool.default_cfg,
-        x: &pool.x,
-        y: &pool.y,
-        seed,
-    })
-}
-
-/// Top-`k` knob indices under a measurement.
-pub fn top_k_knobs(
-    kind: MeasureKind,
-    catalog: &KnobCatalog,
-    pool: &Pool,
-    k: usize,
-    seed: u64,
-) -> Vec<usize> {
-    dbtune_core::importance::top_k(&importance_scores(kind, catalog, pool, seed), k)
 }
 
 /// Median of a slice (convenience re-export for drivers).

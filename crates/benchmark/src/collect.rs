@@ -7,35 +7,14 @@
 //! are. All data is collected within one simulated instance for a
 //! consistent measurement.
 
+use dbtune_core::importance::collect_pool;
 use dbtune_core::optimizer::{Optimizer, OptimizerKind};
-use dbtune_core::sampling;
 use dbtune_core::space::TuningSpace;
+use dbtune_core::transfer::SourceTask;
 use dbtune_core::tuner::{pool_score, SimObjective};
 use dbtune_dbsim::METRICS_DIM;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
-
-/// A collected `(configuration, score)` sample set over a tuning space.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct Dataset {
-    /// Raw subspace configurations.
-    pub x: Vec<Vec<f64>>,
-    /// Maximize-oriented scores.
-    pub y: Vec<f64>,
-}
-
-impl Dataset {
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.y.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.y.is_empty()
-    }
-}
 
 /// Collects `n_total` samples: 50% LHS coverage, 50% optimizer-driven
 /// (SMAC sessions) densification of good regions.
@@ -44,30 +23,16 @@ pub fn collect_samples(
     space: &TuningSpace,
     n_total: usize,
     seed: u64,
-) -> Dataset {
+) -> SourceTask {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut ds = Dataset::default();
-    let mut worst = f64::INFINITY;
-
-    let record = |ds: &mut Dataset,
-                  worst: &mut f64,
-                  sub: Vec<f64>,
-                  objective: &mut dyn SimObjective,
-                  space: &TuningSpace| {
-        let res = objective.evaluate(&space.full_config(&sub));
-        let score = pool_score(&*objective, space.base(), &res, worst);
-        ds.x.push(sub);
-        ds.y.push(score);
-        (score, res.metrics)
-    };
 
     // Phase 1: LHS coverage.
     let n_lhs = n_total / 2;
-    for sub in sampling::lhs(space.space(), n_lhs.max(1), &mut rng) {
-        record(&mut ds, &mut worst, sub, objective, space);
-    }
+    let mut ds = collect_pool(objective, space, n_lhs.max(1), &mut rng);
 
-    // Phase 2: optimizer-driven densification of good regions.
+    // Phase 2: optimizer-driven densification of good regions. The crash
+    // rule carries on from the worst score phase 1 saw.
+    let mut worst = ds.y.iter().copied().fold(f64::INFINITY, f64::min);
     let n_opt = n_total - n_lhs;
     let mut opt = OptimizerKind::Smac.build(space.space(), METRICS_DIM, seed ^ 0xc0111ec7);
     // Warm-start from the best LHS half so the optimizer heads uphill.
@@ -76,8 +41,12 @@ pub fn collect_samples(
     }
     for _ in 0..n_opt {
         let sub = opt.suggest(&mut rng);
-        let (score, metrics) = record(&mut ds, &mut worst, sub.clone(), objective, space);
-        opt.observe(&sub, score, &metrics);
+        let res = objective.evaluate(&space.full_config(&sub));
+        let score = pool_score(&*objective, space.base(), &res, &mut worst);
+        opt.observe(&sub, score, &res.metrics);
+        ds.x.push(sub);
+        ds.y.push(score);
+        ds.metrics.push(res.metrics);
     }
     ds
 }
@@ -102,7 +71,7 @@ mod tests {
         let mut sim = DbSimulator::new(Workload::Smallbank, Hardware::B, 17);
         let space = write_space(&sim);
         let ds = collect_samples(&mut sim, &space, 60, 1);
-        assert_eq!(ds.len(), 60);
+        assert_eq!(ds.y.len(), 60);
         assert!(ds.x.iter().all(|c| c.len() == 3));
         assert!(ds.y.iter().all(|y| y.is_finite()));
     }
@@ -114,7 +83,7 @@ mod tests {
         let ds = collect_samples(&mut sim, &space, 80, 2);
         // Second half (optimizer-driven) should average better than the
         // LHS half — that's the whole point of densification.
-        let half = ds.len() / 2;
+        let half = ds.y.len() / 2;
         let lhs_mean = dbtune_linalg::stats::mean(&ds.y[..half]);
         let opt_mean = dbtune_linalg::stats::mean(&ds.y[half..]);
         assert!(

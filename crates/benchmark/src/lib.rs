@@ -20,6 +20,6 @@ pub mod collect;
 pub mod objective;
 pub mod surrogate;
 
-pub use collect::{collect_samples, Dataset};
+pub use collect::collect_samples;
 pub use objective::{SpeedupReport, SurrogateBenchmark};
 pub use surrogate::{evaluate_zoo, SurrogateModelKind, ZooResult};

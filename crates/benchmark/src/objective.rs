@@ -4,9 +4,9 @@
 //! simulator grids use — optimizers cannot tell the difference, which is
 //! the point.
 
-use crate::collect::Dataset;
 use dbtune_core::exec::{CacheKey, DeterministicObjective};
 use dbtune_core::space::TuningSpace;
+use dbtune_core::transfer::SourceTask;
 use dbtune_core::tuner::{un_orient, EvalResult};
 use dbtune_dbsim::{KnobCatalog, Objective, EVAL_SECONDS, RESTART_SECONDS};
 use dbtune_ml::{RandomForest, RandomForestParams, Regressor};
@@ -24,8 +24,8 @@ pub struct SurrogateBenchmark {
 impl SurrogateBenchmark {
     /// Trains the benchmark surrogate (a random forest, the paper's
     /// Table 9 winner) on a collected dataset.
-    pub fn train(space: TuningSpace, objective: Objective, ds: &Dataset, seed: u64) -> Self {
-        assert!(!ds.is_empty(), "cannot train benchmark on empty dataset");
+    pub fn train(space: TuningSpace, objective: Objective, ds: &SourceTask, seed: u64) -> Self {
+        assert!(!ds.y.is_empty(), "cannot train benchmark on empty dataset");
         let x: Vec<Vec<f64>> = ds.x.iter().map(|c| space.space().to_unit(c)).collect();
         let mut model = RandomForest::continuous(
             RandomForestParams { n_trees: 60, seed, ..Default::default() },

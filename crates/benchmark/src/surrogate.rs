@@ -2,8 +2,8 @@
 //! ε-SVR, ν-SVR, KNN, and Ridge Regression, compared by 10-fold
 //! cross-validated RMSE and R², with the winner powering the benchmark.
 
-use crate::collect::Dataset;
 use dbtune_core::space::ConfigSpace;
+use dbtune_core::transfer::SourceTask;
 use dbtune_linalg::stats::{r_squared, rmse};
 use dbtune_ml::{
     kfold_indices, GradientBoosting, GradientBoostingParams, KnnRegressor, RandomForest,
@@ -95,21 +95,21 @@ pub struct ZooResult {
 /// Unit-encodes a dataset's configurations for the zoo (categoricals
 /// ordinal-encoded; tree models are indifferent, kernel/linear models need
 /// the scaling).
-pub fn encode_dataset(space: &ConfigSpace, ds: &Dataset) -> Vec<Vec<f64>> {
+pub fn encode_dataset(space: &ConfigSpace, ds: &SourceTask) -> Vec<Vec<f64>> {
     ds.x.iter().map(|c| space.to_unit(c)).collect()
 }
 
 /// Evaluates the full zoo with k-fold cross-validation (Table 9 uses 10).
-pub fn evaluate_zoo(space: &ConfigSpace, ds: &Dataset, k: usize, seed: u64) -> Vec<ZooResult> {
+pub fn evaluate_zoo(space: &ConfigSpace, ds: &SourceTask, k: usize, seed: u64) -> Vec<ZooResult> {
     let x = encode_dataset(space, ds);
     let dim = space.dim();
     let mut rng = StdRng::seed_from_u64(seed);
-    let folds = kfold_indices(ds.len(), k, &mut rng);
+    let folds = kfold_indices(ds.y.len(), k, &mut rng);
 
     SurrogateModelKind::ALL
         .iter()
         .map(|&kind| {
-            let mut preds = vec![0.0; ds.len()];
+            let mut preds = vec![0.0; ds.y.len()];
             for (train, test) in &folds {
                 let (xt, yt) = dbtune_ml::dataset::gather(&x, &ds.y, train);
                 let mut model = kind.build(dim, seed);
@@ -129,7 +129,7 @@ mod tests {
     use dbtune_core::space::TuningSpace;
     use dbtune_dbsim::{DbSimulator, Hardware, Workload};
 
-    fn tiny_dataset() -> (ConfigSpace, Dataset) {
+    fn tiny_dataset() -> (ConfigSpace, SourceTask) {
         let sim = DbSimulator::new(Workload::Tpcc, Hardware::B, 30);
         let cat = sim.catalog();
         let selected = vec![

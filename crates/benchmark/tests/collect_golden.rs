@@ -31,7 +31,7 @@ fn collected_dataset_is_pinned() {
         .collect();
     let space = TuningSpace::with_default_base(&cat, selected, Hardware::A);
     let ds = collect_samples(&mut sim, &space, 40, 6);
-    assert_eq!(ds.len(), 40);
+    assert_eq!(ds.y.len(), 40);
     let words =
         ds.x.iter()
             .flat_map(|c| c.iter().map(|v| v.to_bits()))

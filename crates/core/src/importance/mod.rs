@@ -14,8 +14,18 @@
 //! The distinction matters because DBMS defaults are robust: a knob can
 //! have huge variance yet zero tunability (the simulator's "trap" knobs),
 //! which is exactly why SHAP wins the paper's comparison.
+//!
+//! The module's pipeline (Figure 2) has one home per step:
+//! [`collect_pool`] draws and scores the observation pool,
+//! [`MeasureKind::scores`] ranks a space's knobs from it, and [`top_k`]
+//! keeps the best.
 
+use crate::sampling;
+use crate::space::TuningSpace;
+use crate::transfer::SourceTask;
+use crate::tuner::{pool_score, SimObjective};
 use dbtune_dbsim::knob::KnobSpec;
+use rand::rngs::StdRng;
 
 pub mod ablation;
 pub mod fanova;
@@ -50,6 +60,27 @@ pub trait ImportanceMeasure {
     fn name(&self) -> &'static str;
     /// Per-knob importance scores (length = number of knobs).
     fn scores(&self, input: &ImportanceInput<'_>) -> Vec<f64>;
+}
+
+/// Collects an LHS pool of `n` configurations of `space` on `objective`
+/// (§5.1's sample collection): each draw is recorded in subspace
+/// coordinates with its [`pool_score`] (§4.1's crash rule) and internal
+/// metrics. The pool's `name` is left empty for the caller to fill in.
+pub fn collect_pool(
+    objective: &mut dyn SimObjective,
+    space: &TuningSpace,
+    n: usize,
+    rng: &mut StdRng,
+) -> SourceTask {
+    let mut pool = SourceTask::default();
+    let mut worst = f64::INFINITY;
+    for sub in sampling::lhs(space.space(), n, rng) {
+        let res = objective.evaluate(&space.full_config(&sub));
+        pool.y.push(pool_score(&*objective, space.base(), &res, &mut worst));
+        pool.x.push(sub);
+        pool.metrics.push(res.metrics);
+    }
+    pool
 }
 
 /// Indices of the `k` highest-scoring knobs, best first. Ties break toward
@@ -106,6 +137,19 @@ impl MeasureKind {
             MeasureKind::Ablation => Box::new(AblationImportance::default()),
             MeasureKind::Shap => Box::new(ShapImportance::default()),
         }
+    }
+
+    /// Per-knob scores of `space`'s knobs from a pool collected over it
+    /// (see [`collect_pool`]), with the space's defaults as the
+    /// tunability baseline.
+    pub fn scores(self, space: &TuningSpace, pool: &SourceTask, seed: u64) -> Vec<f64> {
+        self.build().scores(&ImportanceInput {
+            specs: space.space().specs(),
+            default: &space.default_sub(),
+            x: &pool.x,
+            y: &pool.y,
+            seed,
+        })
     }
 }
 

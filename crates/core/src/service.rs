@@ -8,15 +8,13 @@
 //! with the stored history of other tasks (RGPE), run the session, and
 //! record the new observations back into the repository.
 
-use crate::importance::{top_k, ImportanceInput, MeasureKind};
+use crate::importance::{collect_pool, top_k, MeasureKind};
 use crate::optimizer::{Optimizer, OptimizerKind};
 use crate::repository::Repository;
-use crate::sampling;
 use crate::space::TuningSpace;
 use crate::transfer::{RgpeOptimizer, SurrogateKind};
 use crate::tuner::{
-    pool_score, run_session_resumable, SessionCheckpoint, SessionConfig, SessionResult,
-    SimObjective,
+    run_session_resumable, SessionCheckpoint, SessionConfig, SessionResult, SimObjective,
 };
 use dbtune_dbsim::{KnobCatalog, METRICS_DIM};
 use rand::rngs::StdRng;
@@ -95,7 +93,8 @@ impl TuningService {
     }
 
     /// Knob selection: collect an LHS pool on the objective and rank all
-    /// catalog knobs with the requested measurement.
+    /// catalog knobs with the requested measurement. The pool varies the
+    /// knobs around instance B's defaults, like the rest of the service.
     pub fn select_knobs(
         &self,
         objective: &mut dyn SimObjective,
@@ -104,28 +103,12 @@ impl TuningService {
         n_knobs: usize,
         seed: u64,
     ) -> Vec<usize> {
-        let default_cfg = self.catalog.default_config(dbtune_dbsim::Hardware::B);
         let all: Vec<usize> = (0..self.catalog.len()).collect();
-        let full_space = TuningSpace::new(&self.catalog, all, default_cfg.clone());
-        let mut rng = StdRng::seed_from_u64(seed);
-
-        let mut x = Vec::with_capacity(pool_samples);
-        let mut y = Vec::with_capacity(pool_samples);
-        let mut worst = f64::INFINITY;
-        for cfg in sampling::lhs(full_space.space(), pool_samples, &mut rng) {
-            let res = objective.evaluate(&cfg);
-            y.push(pool_score(&*objective, full_space.base(), &res, &mut worst));
-            x.push(cfg);
-        }
-
-        let scores = measure.build().scores(&ImportanceInput {
-            specs: self.catalog.specs(),
-            default: &default_cfg,
-            x: &x,
-            y: &y,
-            seed,
-        });
-        top_k(&scores, n_knobs)
+        let full_space =
+            TuningSpace::with_default_base(&self.catalog, all, dbtune_dbsim::Hardware::B);
+        let pool =
+            collect_pool(objective, &full_space, pool_samples, &mut StdRng::seed_from_u64(seed));
+        top_k(&measure.scores(&full_space, &pool, seed), n_knobs)
     }
 
     /// Runs the full pipeline for one request against `objective`,

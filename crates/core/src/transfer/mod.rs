@@ -15,6 +15,8 @@
 
 use crate::optimizer::{Ddpg, DdpgParams, DdpgWeights};
 use crate::space::ConfigSpace;
+use crate::tuner::SessionResult;
+use serde::{Deserialize, Serialize};
 
 pub mod mapping;
 pub mod rgpe;
@@ -22,8 +24,9 @@ pub mod rgpe;
 pub use mapping::{BaseKind, MappedOptimizer};
 pub use rgpe::{RgpeOptimizer, SurrogateKind};
 
-/// Observations gathered on one historical tuning task.
-#[derive(Clone, Debug, Default)]
+/// Observations gathered on one task: a transfer source's history, a
+/// knob-selection pool, or the surrogate benchmark's training data.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct SourceTask {
     /// Task label (workload name).
     pub name: String,
@@ -36,6 +39,17 @@ pub struct SourceTask {
 }
 
 impl SourceTask {
+    /// The observations of a finished session, labelled `name`.
+    pub fn from_session(name: &str, result: &SessionResult) -> Self {
+        let obs = &result.observations;
+        Self {
+            name: name.to_string(),
+            x: obs.iter().map(|o| o.config.clone()).collect(),
+            y: obs.iter().map(|o| o.score).collect(),
+            metrics: obs.iter().map(|o| o.metrics.clone()).collect(),
+        }
+    }
+
     /// Mean internal-metric vector of the task (the workload signature
     /// used by workload mapping).
     pub fn mean_metrics(&self) -> Vec<f64> {

@@ -1,17 +1,20 @@
 //! Bit fingerprints of session outputs that no other suite pins: the
-//! incremental knob-selection session (Figure 6) and the knob ranking of
-//! `TuningService::select_knobs`. Each constant was captured from the
+//! incremental knob-selection session (Figure 6), the knob ranking of
+//! `TuningService::select_knobs`, and the full-catalog LHS pool every
+//! knob-selection driver ranks from. Each constant was captured from the
 //! code as it stood and must only change together with an intended,
 //! documented change of the tuning trajectory.
 
 use dbtune_core::exec::{CachedObjective, EvalCache};
-use dbtune_core::importance::MeasureKind;
+use dbtune_core::importance::{collect_pool, MeasureKind};
 use dbtune_core::incremental::{run_incremental_session, IncrementalStrategy};
 use dbtune_core::optimizer::{BoKind, BoOptimizer, Optimizer};
 use dbtune_core::service::TuningService;
-use dbtune_core::space::ConfigSpace;
+use dbtune_core::space::{ConfigSpace, TuningSpace};
 use dbtune_core::tuner::{SessionConfig, SessionResult};
 use dbtune_dbsim::{DbSimulator, Hardware, Workload};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const NOISE_SEED: u64 = 4242;
 
@@ -120,4 +123,25 @@ fn select_knobs_ranking_is_pinned() {
     let service = TuningService::new(sim.catalog().clone());
     let ranked = service.select_knobs(&mut sim, MeasureKind::Lasso, 80, 10, 3);
     assert_eq!(ranked, [0, 28, 29, 142, 45, 67, 186, 145, 50, 19], "select_knobs ranking");
+}
+
+#[test]
+fn full_catalog_pool_is_pinned() {
+    // `dbtune_bench::full_pool`'s recipe (seed 7, as every driver calls
+    // it): all 197 knobs around instance B's defaults. 4 of the 20 draws
+    // crash, so the pool's crash scoring is covered.
+    let mut sim = DbSimulator::new(Workload::Sysbench, Hardware::B, 7);
+    let catalog = sim.catalog().clone();
+    let space = TuningSpace::with_default_base(&catalog, (0..catalog.len()).collect(), Hardware::B);
+    let pool = collect_pool(&mut sim, &space, 20, &mut StdRng::seed_from_u64(7 ^ 0x9001));
+    assert_eq!(pool.x.len(), 20);
+    let words = pool
+        .x
+        .iter()
+        .flat_map(|c| c.iter().map(|v| v.to_bits()))
+        .chain(pool.y.iter().map(|v| v.to_bits()))
+        .chain(pool.metrics.iter().flat_map(|m| m.iter().map(|v| v.to_bits())));
+    // Captured from the inline collection loop `full_pool` ran before the
+    // collector existed.
+    assert_eq!(fnv1a(words), 17518602037831407799, "full-catalog pool fingerprint");
 }

@@ -47,12 +47,7 @@ fn main() {
         let mut opt = OptimizerKind::Smac.build(space.space(), METRICS_DIM, 40 + i as u64);
         let r = tune(wl, &mut opt, 60, 40 + i as u64);
         println!("  {}: best improvement {:+.1}%", wl.name(), r.best_improvement() * 100.0);
-        sources.push(SourceTask {
-            name: wl.name().to_string(),
-            x: r.observations.iter().map(|o| o.config.clone()).collect(),
-            y: r.observations.iter().map(|o| o.score).collect(),
-            metrics: r.observations.iter().map(|o| o.metrics.clone()).collect(),
-        });
+        sources.push(SourceTask::from_session(wl.name(), &r));
     }
 
     // --- Step 2: target task with and without transfer -----------------

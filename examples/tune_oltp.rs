@@ -6,41 +6,25 @@
 //! cargo run --release --example tune_oltp
 //! ```
 
-use dbtune::core::sampling;
-use dbtune::core::tuner::pool_score;
 use dbtune::prelude::*;
+use rand::SeedableRng;
 
 fn main() {
     let workload = Workload::Sysbench;
     let mut sim = DbSimulator::new(workload, Hardware::B, 11);
     let catalog = sim.catalog().clone();
-    let default_cfg = catalog.default_config(Hardware::B);
 
     // --- Step 1: collect an observation pool over all 197 knobs --------
     let n_pool = 600;
     println!("collecting {n_pool} LHS observations over all 197 knobs…");
     let all: Vec<usize> = (0..catalog.len()).collect();
-    let full_space = TuningSpace::new(&catalog, all, default_cfg.clone());
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
-    let mut x = Vec::with_capacity(n_pool);
-    let mut y = Vec::with_capacity(n_pool);
-    let mut worst = f64::INFINITY;
-    for cfg in sampling::lhs(full_space.space(), n_pool, &mut rng) {
-        let res = SimObjective::evaluate(&mut sim, &cfg);
-        y.push(pool_score(&sim, full_space.base(), &res, &mut worst));
-        x.push(cfg);
-    }
+    let full_space = TuningSpace::with_default_base(&catalog, all, Hardware::B);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let pool = collect_pool(&mut sim, &full_space, n_pool, &mut rng);
 
     // --- Step 2: rank knobs by SHAP tunability ------------------------
     println!("ranking knobs with SHAP…");
-    let shap = MeasureKind::Shap.build();
-    let scores = shap.scores(&ImportanceInput {
-        specs: catalog.specs(),
-        default: &default_cfg,
-        x: &x,
-        y: &y,
-        seed: 3,
-    });
+    let scores = MeasureKind::Shap.scores(&full_space, &pool, 3);
     let selected = top_k(&scores, 20);
     println!("top-20 knobs by SHAP tunability:");
     for (rank, &i) in selected.iter().enumerate() {

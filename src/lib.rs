@@ -22,8 +22,8 @@ pub use dbtune_ml as ml;
 
 /// Everything a typical tuning script needs, in one import.
 pub mod prelude {
-    pub use dbtune_benchmark::{collect_samples, Dataset, SpeedupReport, SurrogateBenchmark};
-    pub use dbtune_core::importance::{top_k, ImportanceInput, MeasureKind};
+    pub use dbtune_benchmark::{collect_samples, SpeedupReport, SurrogateBenchmark};
+    pub use dbtune_core::importance::{collect_pool, top_k, ImportanceInput, MeasureKind};
     pub use dbtune_core::optimizer::{Optimizer, OptimizerKind};
     pub use dbtune_core::transfer::{RgpeOptimizer, SourceTask, SurrogateKind};
     pub use dbtune_core::tuner::{

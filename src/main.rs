@@ -19,11 +19,11 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use dbtune::core::exec::CachedObjective;
+use dbtune::core::importance::collect_pool;
 use dbtune::core::repository::Repository;
-use dbtune::core::sampling;
 use dbtune::core::service::{TuningRequest, TuningService};
-use dbtune::core::tuner::pool_score;
 use dbtune::prelude::*;
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const USAGE: &str = "\
@@ -280,46 +280,48 @@ fn cmd_workloads() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_rank(args: &Args) -> Result<(), String> {
-    let workload = args.workload()?;
-    let hardware = args.hardware()?;
+/// Knob selection as `rank`, `tune` and `benchmark` share it: an LHS
+/// pool of `samples=` draws over the full catalog around the
+/// `hardware=` defaults, scored by `measure=`. Returns per-knob scores in
+/// catalog order.
+fn knob_scores(args: &Args, sim: &mut DbSimulator) -> Result<Vec<f64>, String> {
     let seed = args.u64_opt("seed", 42)?;
     let measure = args.measure()?;
     let samples = args.usize_opt("samples", 500)?;
-    let top = args.usize_opt("knobs", 10)?;
-
-    let mut sim = DbSimulator::new(workload, hardware, seed);
-    let catalog = sim.catalog().clone();
-    let default_cfg = catalog.default_config(hardware);
-    let all: Vec<usize> = (0..catalog.len()).collect();
-    let space = TuningSpace::new(&catalog, all, default_cfg.clone());
-
+    let catalog = sim.catalog();
+    let space =
+        TuningSpace::with_default_base(catalog, (0..catalog.len()).collect(), args.hardware()?);
     eprintln!(
-        "collecting {samples}-sample LHS pool on {} ({} knobs)…",
-        workload.name(),
-        catalog.len()
+        "ranking {} knobs by {measure:?} over a {samples}-sample LHS pool on {}…",
+        catalog.len(),
+        sim.workload().name()
     );
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut x = Vec::with_capacity(samples);
-    let mut y = Vec::with_capacity(samples);
-    let mut worst = f64::INFINITY;
-    for cfg in sampling::lhs(space.space(), samples, &mut rng) {
-        let res = SimObjective::evaluate(&mut sim, &cfg);
-        y.push(pool_score(&sim, space.base(), &res, &mut worst));
-        x.push(cfg);
+    let pool = collect_pool(sim, &space, samples, &mut StdRng::seed_from_u64(seed));
+    Ok(measure.scores(&space, &pool, seed))
+}
+
+/// The knobs to tune: `pin=` if given, else the top `knobs=` by
+/// [`knob_scores`].
+fn selected_knobs(args: &Args, sim: &mut DbSimulator) -> Result<Vec<usize>, String> {
+    match args.pinned_knobs(sim.catalog())? {
+        Some(pinned) => Ok(pinned),
+        None => Ok(top_k(&knob_scores(args, sim)?, args.usize_opt("knobs", 10)?)),
     }
+}
 
-    let scores = measure.build().scores(&ImportanceInput {
-        specs: catalog.specs(),
-        default: &default_cfg,
-        x: &x,
-        y: &y,
-        seed,
-    });
-    let ranked = top_k(&scores, top);
-
-    println!("top {top} of {} knobs for {} by {measure:?}:", catalog.len(), workload.name());
-    for (rank, &i) in ranked.iter().enumerate() {
+fn cmd_rank(args: &Args) -> Result<(), String> {
+    let workload = args.workload()?;
+    let top = args.usize_opt("knobs", 10)?;
+    let mut sim = DbSimulator::new(workload, args.hardware()?, args.u64_opt("seed", 42)?);
+    let scores = knob_scores(args, &mut sim)?;
+    let catalog = sim.catalog();
+    println!(
+        "top {top} of {} knobs for {} by {:?}:",
+        catalog.len(),
+        workload.name(),
+        args.measure()?
+    );
+    for (rank, &i) in top_k(&scores, top).iter().enumerate() {
         println!("  {:>3}. {:<40} {:>10.4}", rank + 1, catalog.specs()[i].name, scores[i]);
     }
     Ok(())
@@ -332,17 +334,7 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
     let mut sim = DbSimulator::new(workload, hardware, seed);
     let catalog = sim.catalog().clone();
 
-    let selected = match args.pinned_knobs(&catalog)? {
-        Some(pinned) => pinned,
-        None => {
-            let measure = args.measure()?;
-            let samples = args.usize_opt("samples", 500)?;
-            let n_knobs = args.usize_opt("knobs", 10)?;
-            eprintln!("selecting {n_knobs} knobs by {measure:?} over a {samples}-sample pool…");
-            let service = TuningService::new(catalog.clone());
-            service.select_knobs(&mut sim, measure, samples, n_knobs, seed)
-        }
-    };
+    let selected = selected_knobs(args, &mut sim)?;
     let space = TuningSpace::with_default_base(&catalog, selected.clone(), hardware);
 
     let optimizer = args.optimizer()?;
@@ -441,15 +433,7 @@ fn cmd_benchmark(args: &Args) -> Result<(), String> {
     let mut sim = DbSimulator::new(workload, hardware, seed);
     let catalog = sim.catalog().clone();
 
-    let selected = match args.pinned_knobs(&catalog)? {
-        Some(p) => p,
-        None => {
-            let measure = args.measure()?;
-            let n_knobs = args.usize_opt("knobs", 10)?;
-            let service = TuningService::new(catalog.clone());
-            service.select_knobs(&mut sim, measure, args.usize_opt("samples", 500)?, n_knobs, seed)
-        }
-    };
+    let selected = selected_knobs(args, &mut sim)?;
     let space = TuningSpace::with_default_base(&catalog, selected, hardware);
 
     eprintln!("collecting {samples} offline samples on {}…", workload.name());
